@@ -40,7 +40,7 @@ func main() {
 		if c.Access.Write {
 			continue
 		}
-		for _, m := range macro.Detect(ar, c) {
+		for _, m := range macro.Detect(nil, ar, c) {
 			if m.Kind != macro.Broadcast || m.Hidden() {
 				continue
 			}

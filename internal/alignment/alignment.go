@@ -77,6 +77,12 @@ type vstate struct {
 // Align runs alignment step 1 on program p for an m-dimensional
 // virtual architecture.
 func Align(p *affine.Program, m int, opts Options) (*Result, error) {
+	return AlignWith(nil, p, m, opts)
+}
+
+// AlignWith is Align computing its left kernels through k (see
+// intmat.Kernels; nil computes plainly).
+func AlignWith(k *intmat.Kernels, p *affine.Program, m int, opts Options) (*Result, error) {
 	g, err := accessgraph.Build(p, m)
 	if err != nil {
 		return nil, err
@@ -216,7 +222,7 @@ func Align(p *affine.Program, m int, opts Options) (*Result, error) {
 				ci, _ := cur.ScaledInt()
 				cand = intmat.Augment(ci, di)
 			}
-			lk := intmat.LeftKernelBasis(cand)
+			lk := k.LeftKernelBasis(cand)
 			if lk.Rows() >= min(m, g.Vertices[d.root].Dim) {
 				chosen[d.root] = ratmat.FromInt(cand)
 				res.LocalComms[d.commID] = true
@@ -242,7 +248,7 @@ func Align(p *affine.Program, m int, opts Options) (*Result, error) {
 	sort.Ints(roots)
 	for _, r := range roots {
 		vs := byRoot[r]
-		mr, err := instantiateRoot(g, st, r, vs, m, chosen[r], rng)
+		mr, err := instantiateRoot(k, g, st, r, vs, m, chosen[r], rng)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +307,7 @@ func gcd(a, b int64) int64 {
 // instantiateRoot chooses a full-rank integer root allocation matrix
 // honoring the deficient-rank constraints when possible and keeping
 // every derived allocation of full rank.
-func instantiateRoot(g *accessgraph.Graph, st []vstate, r int, vs []int, m int, constraint *ratmat.Mat, rng *rand.Rand) (*intmat.Mat, error) {
+func instantiateRoot(k *intmat.Kernels, g *accessgraph.Graph, st []vstate, r int, vs []int, m int, constraint *ratmat.Mat, rng *rand.Rand) (*intmat.Mat, error) {
 	dim := g.Vertices[r].Dim
 	rows := min(m, dim)
 
@@ -322,7 +328,7 @@ func instantiateRoot(g *accessgraph.Graph, st []vstate, r int, vs []int, m int, 
 	var candidates []*intmat.Mat
 	if constraint != nil {
 		ci, _ := constraint.ScaledInt()
-		lk := intmat.LeftKernelBasis(ci)
+		lk := k.LeftKernelBasis(ci)
 		if lk.Rows() >= rows {
 			base := lk.SubRows(seq(rows)...)
 			candidates = append(candidates, base)

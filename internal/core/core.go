@@ -137,18 +137,21 @@ func (o *Options) maxFactors() int {
 // Optimize runs the complete two-step heuristic on p for an
 // m-dimensional virtual processor space.
 func Optimize(p *affine.Program, m int, opts Options) (*Result, error) {
-	return OptimizeCtx(context.Background(), p, m, opts)
+	return OptimizeCtx(context.Background(), nil, p, m, opts)
 }
 
 // OptimizeCtx is Optimize under a context: when ctx carries an active
 // trace span, each heuristic phase records a timed child span
 // ("alignment", "macro", "decompose"); the same phase durations are
 // always reported in Result.Timing. The context does not cancel the
-// computation — phases are short and run to completion.
-func OptimizeCtx(ctx context.Context, p *affine.Program, m int, opts Options) (*Result, error) {
+// computation — phases are short and run to completion. Every Hermite
+// form, unimodular inverse and kernel basis of the run is computed
+// through k (see intmat.Kernels: nil computes plainly), so the caller
+// chooses the memo and reads the kernel cost back off the handle.
+func OptimizeCtx(ctx context.Context, k *intmat.Kernels, p *affine.Program, m int, opts Options) (*Result, error) {
 	t0 := time.Now()
 	_, alignSpan := trace.StartSpan(ctx, "alignment")
-	ar, err := alignment.Align(p, m, opts.Alignment)
+	ar, err := alignment.AlignWith(k, p, m, opts.Alignment)
 	alignSpan.End()
 	alignDur := time.Since(t0)
 	if err != nil {
@@ -168,14 +171,14 @@ func OptimizeCtx(ctx context.Context, p *affine.Program, m int, opts Options) (*
 	frozen := map[int]bool{}
 	if !opts.NoMacro {
 		for _, c := range ar.ResidualComms() {
-			best := pickMacro(macro.Detect(ar, c))
+			best := pickMacro(macro.Detect(k, ar, c))
 			if best == nil {
 				continue
 			}
 			pl := &Plan{Comm: c, Class: MacroComm, Macro: best}
 			comp := ar.Component[c.Stmt.Name]
 			if best.Partial() && !best.AxisParallel() && !frozen[comp] {
-				rot, err := macro.AlignBroadcast(ar, best)
+				rot, err := macro.AlignBroadcast(k, ar, best)
 				if err != nil {
 					macroSpan.End()
 					return nil, err
@@ -198,7 +201,7 @@ func OptimizeCtx(ctx context.Context, p *affine.Program, m int, opts Options) (*
 		}
 		pl := &Plan{Comm: c, Class: General}
 		if !opts.NoDecomposition {
-			res.decompose(pl, ar, opts, frozen)
+			res.decompose(k, pl, ar, opts, frozen)
 		}
 		planned[c.ID] = pl
 	}
@@ -251,7 +254,7 @@ func pickMacro(ms []*macro.Macro) *macro.Macro {
 // decompose computes the data-flow matrix of the residual and factors
 // it (Section 5). Sender: M_x·(F·I + c); receiver: M_S·I; data-flow
 // matrix T solves T·(M_x·F) = M_S.
-func (r *Result) decompose(pl *Plan, ar *alignment.Result, opts Options, frozen map[int]bool) {
+func (r *Result) decompose(k *intmat.Kernels, pl *Plan, ar *alignment.Result, opts Options, frozen map[int]bool) {
 	c := pl.Comm
 	ms := ar.Alloc[c.Stmt.Name]
 	mx := ar.Alloc[c.Access.Array]
@@ -280,13 +283,13 @@ func (r *Result) decompose(pl *Plan, ar *alignment.Result, opts Options, frozen 
 			// conjugation = re-basing the component; only valid when
 			// statement and array share a component.
 			if ar.Component[c.Stmt.Name] == ar.Component[c.Access.Array] {
-				if conj, fs, found := decomp.SimilarAtMost(t, 2, opts.SimilarityBound); found {
+				if conj, fs, found := decomp.SimilarAtMost(k, t, 2, opts.SimilarityBound); found {
 					if err := ar.RotateComponent(c.Stmt.Name, conj); err == nil {
 						frozen[ar.Component[c.Stmt.Name]] = true
 						pl.Class = Decomposed
 						pl.Factors = fs
 						pl.Similarity = conj
-						pl.Dataflow = intmat.MulAll(conj, t, intmat.InverseUnimodular(conj))
+						pl.Dataflow = intmat.MulAll(conj, t, k.InverseUnimodular(conj))
 						return
 					}
 				}

@@ -164,7 +164,7 @@ func TestSimilarAtMost(t *testing.T) {
 	// T = [[3,2],[7,5]] has minimal direct length 3; conjugation can
 	// reach 2 (the paper's Example-1 walkthrough does exactly this).
 	T := intmat.New(2, 2, 3, 2, 7, 5)
-	conj, fs, ok := SimilarAtMost(T, 2, 2)
+	conj, fs, ok := SimilarAtMost(nil, T, 2, 2)
 	if !ok {
 		t.Fatal("no conjugate LU form found")
 	}
@@ -179,7 +179,7 @@ func TestSimilarAtMost(t *testing.T) {
 
 func TestSimilarIdentityConjugatorWhenEasy(t *testing.T) {
 	T := intmat.New(2, 2, 1, 2, 3, 7)
-	conj, fs, ok := SimilarAtMost(T, 2, 1)
+	conj, fs, ok := SimilarAtMost(nil, T, 2, 1)
 	if !ok || !conj.IsIdentity() || len(fs) != 2 {
 		t.Fatalf("conj=%v fs=%v ok=%v", conj, fs, ok)
 	}

@@ -12,8 +12,9 @@ import "repro/internal/intmat"
 // the basis change e1' = ((a−1)/c·…) makes T similar to a product
 // L·U — and otherwise searches conjugators with entries bounded by
 // `bound`. It returns the conjugator, the factorization of M·T·M⁻¹,
-// and whether the search succeeded.
-func SimilarAtMost(t *intmat.Mat, maxLen int, bound int64) (conj *intmat.Mat, factors []*intmat.Mat, ok bool) {
+// and whether the search succeeded. The conjugator inverses are
+// computed through k (nil: plainly).
+func SimilarAtMost(k *intmat.Kernels, t *intmat.Mat, maxLen int, bound int64) (conj *intmat.Mat, factors []*intmat.Mat, ok bool) {
 	if t.Rows() != 2 || t.Cols() != 2 || t.Det() != 1 {
 		panic("decomp: SimilarAtMost needs a 2x2 determinant-1 matrix")
 	}
@@ -28,7 +29,7 @@ func SimilarAtMost(t *intmat.Mat, maxLen int, bound int64) (conj *intmat.Mat, fa
 	}
 	gen := enumerateUnimodular(bound)
 	for _, m := range gen {
-		mi := intmat.InverseUnimodular(m)
+		mi := k.InverseUnimodular(m)
 		conj := intmat.MulAll(m, t, mi)
 		if fs, found := DecomposeAtMost2IfDet1(conj, maxLen); found {
 			return m, fs, true

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
-
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compiled"
 	"repro/internal/core"
+	"repro/internal/distrib"
 	"repro/internal/scenarios"
 )
 
@@ -124,7 +128,7 @@ func BenchmarkUncompiledLattice(b *testing.B) {
 				sc := base
 				sc.Machine = ms
 				sc.ElemBytes = eb
-				ent := optimizeCtx(context.Background(), &sc)
+				ent := optimizeCtx(context.Background(), &sc, nil)
 				if ent.err != "" {
 					b.Fatal(ent.err)
 				}
@@ -172,4 +176,56 @@ func BenchmarkCompiledEvalWarm(b *testing.B) {
 		sink += pt.ModelTime
 	}
 	b.ReportMetric(sink, "model-µs")
+}
+
+// BenchmarkEngineCold measures the paper core behind a cached session
+// on never-seen nests: each iteration optimizes a distinct RandomNest
+// (m = 2) or RandomDeepNest (m = 3) on fattree32, sent from two
+// goroutines like two concurrent clients. The plan tier always
+// misses, so alignment, Hermite forms, kernel bases, macro detection
+// and decomposition run every time, their kernels through the
+// session's memo.
+func BenchmarkEngineCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]scenarios.Scenario, b.N)
+	for i := range batch {
+		name := fmt.Sprintf("cold%06d", i)
+		sc := scenarios.Scenario{
+			Name:      name,
+			M:         2,
+			Machine:   scenarios.MachineSpec{Kind: scenarios.FatTree, P: 32},
+			Dist:      distrib.Dist2D{D0: distrib.Block{}, D1: distrib.Block{}},
+			N:         16,
+			ElemBytes: 64,
+		}
+		if i%2 == 0 {
+			sc.Program = scenarios.RandomNest(rng, name)
+		} else {
+			sc.Program, sc.M = scenarios.RandomDeepNest(rng, name), 3
+		}
+		batch[i] = sc
+	}
+	sess := NewSession(Options{Workers: 2})
+	defer sess.Close()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(batch)); i = next.Add(1) - 1 {
+				if _, err := sess.Optimize(context.Background(), &batch[i]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if st := sess.CacheStats(); st.PlanHits != 0 {
+		b.Fatalf("cold benchmark served %d plans from memory", st.PlanHits)
+	}
 }

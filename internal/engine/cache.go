@@ -13,8 +13,8 @@ import (
 //
 //   - kernel tier: Hermite normal forms, unimodular inverses and
 //     integer kernel bases, reached from package intmat through the
-//     goroutine-keyed dispatcher in dispatch.go (Get/Put below
-//     implement the intmat.KernelCache interface);
+//     intmat.Kernels handle each plan computation builds over its
+//     session's cache (Get/Put below implement intmat.KernelCache);
 //   - plan tier: the complete two-step heuristic result per distinct
 //     optimization problem (canonical program + target dimension +
 //     options), which subsumes the access-graph construction and its

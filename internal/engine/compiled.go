@@ -53,7 +53,7 @@ func (s *Session) CompiledArtifact(ctx context.Context, sc *scenarios.Scenario) 
 	key := sc.PlanKey()
 	if s.cache == nil {
 		sp.Set("source", "compute")
-		ent := optimizeCtx(ctx, sc)
+		ent := optimizeCtx(ctx, sc, nil)
 		return compiled.New(key, planShapes(ent), ent.err)
 	}
 	ck := "compiled:" + key

@@ -171,3 +171,19 @@ func TestSelKeyDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledArtifactUsesKernelMemo: an artifact compiled on a
+// goroutine outside the worker pool (the /v1/lattice handler calls
+// CompiledArtifact directly) still computes its kernels through the
+// session's memo.
+func TestCompiledArtifactUsesKernelMemo(t *testing.T) {
+	sess := NewSession(Options{Workers: 1})
+	defer sess.Close()
+	sc := scenarios.Generate(scenarios.Config{Seed: 7, Random: 1, NoExamples: true})[0]
+	if art := sess.CompiledArtifact(context.Background(), &sc); art.Err != "" {
+		t.Fatal(art.Err)
+	}
+	if st := sess.CacheStats(); st.KernelHits+st.KernelMisses == 0 {
+		t.Errorf("cold compile bypassed the kernel memo: %+v", st)
+	}
+}

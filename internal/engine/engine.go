@@ -127,10 +127,9 @@ type BatchResult struct {
 // call in a session; the resoptd daemon keeps a single session open
 // so concurrent requests share the pool, the memo cache and the disk
 // store. Sessions are safe for concurrent use, and any number of
-// sessions (each with its own cache) may coexist in one process: the
-// process-global intmat kernel hook dispatches each kernel
-// computation to the cache of the session whose worker is running it
-// (see dispatch.go).
+// sessions (each with its own cache) may coexist in one process:
+// every plan computation passes its session's cache to the kernels
+// explicitly (see optimizeCtx), so no state is process-global.
 type Session struct {
 	cache   *Cache
 	store   PlanStore
@@ -197,10 +196,6 @@ func NewSession(opts Options) *Session {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			// Bind this worker's goroutine to the session cache so the
-			// process-global intmat kernel hook dispatches kernels
-			// computed here into it (no-op for DisableCache sessions).
-			defer registerWorker(s.cache)()
 			for t := range s.tasks {
 				// Cancellation is honored at scenario boundaries: a
 				// worker never starts a scenario whose context is
@@ -226,8 +221,7 @@ func NewSession(opts Options) *Session {
 	return s
 }
 
-// Close drains the pool and unbinds its workers from the kernel-tier
-// dispatch table. The session must not be used after.
+// Close drains the pool. The session must not be used after.
 func (s *Session) Close() {
 	close(s.tasks)
 	s.wg.Wait()
@@ -291,6 +285,11 @@ func (s *Session) PoolStats() PoolStats {
 // Result.Err instead (the worker refuses dead work at the scenario
 // boundary).
 func (s *Session) Optimize(ctx context.Context, sc *scenarios.Scenario) (Result, error) {
+	// A context already dead never reaches the pool: the select below
+	// picks at random when an idle worker is also ready to receive.
+	if err := ctx.Err(); err != nil {
+		return Result{Name: sc.Name, Err: err.Error()}, err
+	}
 	reply := make(chan indexedResult, 1)
 	s.queued.Add(1)
 	select {
@@ -418,7 +417,7 @@ func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 			return e
 		})
 	} else {
-		ent = optimizeCtx(ctx, sc)
+		ent = optimizeCtx(ctx, sc, nil)
 	}
 	ph.ComputeUs, ph.AlignUs = ent.computeUs, ent.alignUs
 	ph.KernelUs, ph.KernelOps = ent.kernelUs, ent.kernelOps
@@ -547,7 +546,7 @@ func computeOrLoad(ctx context.Context, sc *scenarios.Scenario, cache *Cache, st
 		fsp.Set("result", "miss").End()
 		storeUs += usSince(t0)
 	}
-	ent := optimizeCtx(ctx, sc)
+	ent := optimizeCtx(ctx, sc, cache)
 	recs, errMsg := toRecords(ent)
 	if store != nil {
 		t0 := time.Now()

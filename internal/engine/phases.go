@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "time"
 
 // PhaseTimes is the per-scenario wall-clock cost attribution: where
 // one scenario's engine time went, phase by phase. It rides on
@@ -77,61 +73,6 @@ func (a *selAcc) observe(d time.Duration, hit bool) {
 	} else {
 		a.misses++
 	}
-}
-
-// kernelTrack maps goroutine ID → accumulator for the scenario
-// computing on that goroutine. The intmat kernel hooks carry no
-// context, so attribution is keyed by goroutine: kernels compute
-// synchronously on the worker running the scenario.
-var kernelTrack sync.Map // uint64 → *kernelAcc
-
-type kernelAcc struct {
-	dur time.Duration
-	ops int
-}
-
-// observeKernel is the permanently installed process-global
-// intmat.SetKernelObserver hook (see dispatch.go). Attribution is
-// per-goroutine, so it is safe to share across coexisting sessions:
-// only goroutines that registered via trackKernels accumulate.
-func observeKernel(d time.Duration) {
-	if v, ok := kernelTrack.Load(goid()); ok {
-		// Only the owning goroutine reaches its accumulator, so plain
-		// writes are safe.
-		a := v.(*kernelAcc)
-		a.dur += d
-		a.ops++
-	}
-}
-
-// trackKernels registers the current goroutine for kernel-time
-// attribution and returns the stop function yielding the accumulated
-// compute time and operation count.
-func trackKernels() func() (time.Duration, int) {
-	id := goid()
-	a := &kernelAcc{}
-	kernelTrack.Store(id, a)
-	return func() (time.Duration, int) {
-		kernelTrack.Delete(id)
-		return a.dur, a.ops
-	}
-}
-
-// goid parses the current goroutine's ID from the runtime.Stack
-// header ("goroutine 123 [running]:"). It is called only around
-// kernel computations — the expensive exact-linear-algebra path —
-// where the stack-header cost is noise.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	var id uint64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
 }
 
 // PhaseTotals aggregates the session's per-phase wall-clock spend

@@ -56,7 +56,7 @@ type PlanStore interface {
 
 // KernelStore is the optional disk tier behind the kernel memo cache
 // (Hermite forms, unimodular inverses, kernel bases), keyed by the
-// same op:key scheme the intmat memo hooks use. A PlanStore that also
+// same op:key scheme intmat.Kernels uses. A PlanStore that also
 // implements KernelStore (internal/store does) gets kernel-tier
 // persistence wired in automatically, so cold starts skip the exact
 // linear algebra, not just the plan construction. The same
@@ -97,23 +97,29 @@ type planEntry struct {
 
 // optimizeCtx computes a plan entry from scratch via the full
 // two-step heuristic, projecting the result down to what costing
-// needs and recording the compute-cost attribution. When ctx carries
-// an active trace it adds an "optimize" span with "alignment",
-// "macro", "decompose" (from core) and an accumulated "kernel" child.
-func optimizeCtx(ctx context.Context, sc *scenarios.Scenario) planEntry {
+// needs and recording the compute-cost attribution. Its kernels go
+// through one intmat.Kernels handle memoized in cache (nil: no memo)
+// and timed whatever the cache. When ctx carries an active trace it
+// adds an "optimize" span with "alignment", "macro", "decompose"
+// (from core) and an accumulated "kernel" child.
+func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) planEntry {
 	ctx, sp := trace.StartSpan(ctx, "optimize")
 	t0 := time.Now()
-	stop := trackKernels()
-	res, err := core.OptimizeCtx(ctx, sc.Program, sc.M, sc.Opts)
-	kdur, kops := stop()
-	if kops > 0 {
-		trace.AddSpan(ctx, "kernel", t0, kdur,
-			map[string]string{"ops": strconv.Itoa(kops)})
+	k := &intmat.Kernels{}
+	if cache != nil {
+		// Only a non-nil *Cache becomes the interface: a nil one
+		// would be a non-nil KernelCache that panics on Get.
+		k.Cache = cache
+	}
+	res, err := core.OptimizeCtx(ctx, k, sc.Program, sc.M, sc.Opts)
+	if k.Ops > 0 {
+		trace.AddSpan(ctx, "kernel", t0, k.Time,
+			map[string]string{"ops": strconv.Itoa(k.Ops)})
 	}
 	ent := planEntry{
 		computeUs: usSince(t0),
-		kernelUs:  float64(kdur) / 1e3,
-		kernelOps: kops,
+		kernelUs:  float64(k.Time) / 1e3,
+		kernelOps: k.Ops,
 	}
 	if err != nil {
 		ent.err = err.Error()

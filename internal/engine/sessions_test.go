@@ -9,13 +9,15 @@ import (
 	"repro/internal/scenarios"
 )
 
-// TestConcurrentSessions: sessions no longer serialize process-wide —
-// a 2-node in-process cluster runs two daemons, each with its own
-// engine session. Two overlapping sessions (one cached, one with the
-// cache-disabled ablation) must both complete, produce identical
-// results, and keep their cache accounting separate: the dispatcher
-// routes kernels to the cache of the session whose worker computed
-// them, and the ablation session sees no cache at all.
+// TestConcurrentSessions: any number of sessions may coexist in one
+// process — a 2-node in-process cluster runs two daemons, each with
+// its own engine session. Two overlapping sessions (one cached, one
+// with the cache-disabled ablation) must both complete, produce
+// identical results, and keep their kernel accounting separate: each
+// plan computation hands its own session's cache to the kernels, so
+// the ablation sees no cache at all yet still attributes kernel time,
+// and the cached session's computed kernels are exactly its memo
+// misses.
 func TestConcurrentSessions(t *testing.T) {
 	s := scenarios.Generate(scenarios.Config{Seed: 7, Random: 6, NoExamples: true})
 	cached := NewSession(Options{Workers: 2})
@@ -37,7 +39,33 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Error("cached session's kernel tier saw no traffic")
 	}
 	if ba.Cache != (CacheStats{}) {
-		t.Errorf("cache-disabled session accumulated stats %+v — kernel dispatch leaked across sessions", ba.Cache)
+		t.Errorf("cache-disabled session accumulated stats %+v — kernel memo leaked across sessions", ba.Cache)
+	}
+
+	ablateOps, ablateUs := 0, 0.0
+	for i, r := range ba.Results {
+		if r.Phases.PlanSource != "compute" {
+			t.Fatalf("%s: ablation PlanSource = %q, want compute", r.Name, r.Phases.PlanSource)
+		}
+		ablateOps += r.Phases.KernelOps
+		ablateUs += r.Phases.KernelUs
+		// the memo can only save kernels, never add them
+		if c := bc.Results[i].Phases; c.PlanSource == "compute" && c.KernelOps > r.Phases.KernelOps {
+			t.Errorf("%s: cached session computed %d kernels, uncached %d", r.Name, c.KernelOps, r.Phases.KernelOps)
+		}
+	}
+	if ablateOps == 0 || ablateUs <= 0 {
+		t.Errorf("cache-disabled session attributed no kernel work (%d ops)", ablateOps)
+	}
+
+	cachedOps := 0
+	for _, r := range bc.Results {
+		if r.Phases.PlanSource == "compute" {
+			cachedOps += r.Phases.KernelOps
+		}
+	}
+	if uint64(cachedOps) != bc.Cache.KernelMisses {
+		t.Errorf("computed scenarios attribute %d kernel ops, kernel tier counted %d misses", cachedOps, bc.Cache.KernelMisses)
 	}
 }
 

@@ -2,12 +2,12 @@ package intmat
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
 // KernelCache is a memo store for the expensive kernels of this
-// package (Hermite normal forms and integer kernel bases).
+// package (Hermite normal forms and integer kernel bases), consulted
+// through a Kernels handle.
 // Implementations must be safe for concurrent use; package engine
 // provides one. Keys are canonical (operation-prefixed Mat.Key), so
 // a hit is always the exact result of the same computation. The
@@ -17,117 +17,73 @@ type KernelCache interface {
 	Put(key string, v any)
 }
 
-// kernelCache holds the installed cache. An atomic.Value of a boxed
-// interface allows lock-free reads on the hot path and tolerates
-// concurrent SetKernelCache calls.
-var kernelCache atomic.Value // of kernelCacheBox
-
-type kernelCacheBox struct{ c KernelCache }
-
-// SetKernelCache installs c as the memo store consulted by
-// HermiteLeft, HermiteRight, InverseUnimodular and KernelBasis; nil
-// disables memoization (the default). Results handed to callers are
-// deep copies of the cached matrices, so a hit is observationally
-// identical to recomputation and callers may freely mutate what they
-// receive.
-func SetKernelCache(c KernelCache) { kernelCache.Store(kernelCacheBox{c}) }
-
-func getKernelCache() KernelCache {
-	if b, ok := kernelCache.Load().(kernelCacheBox); ok {
-		return b.c
-	}
-	return nil
-}
-
-// kernelObserver holds the installed cost observer, boxed like
-// kernelCache so the hot path reads it lock-free.
-var kernelObserver atomic.Value // of kernelObserverBox
-
-type kernelObserverBox struct{ fn func(time.Duration) }
-
-// SetKernelObserver installs fn to receive the wall-clock duration of
-// every kernel computation that was NOT served from the memo cache
-// (cache misses, and all computations while no cache is installed);
-// nil disables observation (the default). fn must be safe for
-// concurrent use — kernels compute on every engine worker. Cache hits
-// are not reported: the observer attributes compute cost, not lookup
-// cost.
-func SetKernelObserver(fn func(time.Duration)) { kernelObserver.Store(kernelObserverBox{fn}) }
-
-// timeKernel starts timing one kernel computation and returns the
-// stop function reporting it to the installed observer (a no-op
-// without one).
-func timeKernel() func() {
-	b, _ := kernelObserver.Load().(kernelObserverBox)
-	if b.fn == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { b.fn(time.Since(t0)) }
+// Kernels is the handle one optimization passes down to the kernels
+// of this package (HermiteLeft, HermiteRight, InverseUnimodular,
+// KernelBasis, LeftKernelBasis, KernelIntersection). It carries the
+// optional memo store and accounts the kernels it computed — not
+// those served from Cache — in Time and Ops, so a caller attributes
+// compute cost, not lookup cost. A nil *Kernels computes plainly,
+// with no memo and no accounting; the package-level functions are
+// that case. A handle is not safe for concurrent use: give each
+// optimization its own (the Cache behind it may be shared).
+type Kernels struct {
+	// Cache is the memo store, or nil for none. Results handed to
+	// callers are deep copies of the cached matrices, so a hit is
+	// observationally identical to recomputation and callers may
+	// freely mutate what they receive.
+	Cache KernelCache
+	// Time and Ops total the wall-clock time and the number of the
+	// kernel computations run through this handle.
+	Time time.Duration
+	Ops  int
 }
 
 // matPair is the cached value of a two-matrix kernel result.
 type matPair struct{ a, b *Mat }
 
-// memoPair memoizes a kernel returning two matrices under
-// op+":"+m.Key(), cloning on both store and load. A cached value of
-// the wrong shape (possible only if a persistence layer fed back a
-// record under the wrong key) is ignored and recomputed.
-func memoPair(op string, m *Mat, compute func(*Mat) (*Mat, *Mat)) (*Mat, *Mat) {
-	c := getKernelCache()
-	if c == nil {
-		stop := timeKernel()
-		a, b := compute(m)
-		stop()
-		return a, b
-	}
-	key := op + ":" + m.Key()
-	if v, ok := c.Get(key); ok {
-		if p, ok := v.(matPair); ok {
-			return p.a.Clone(), p.b.Clone()
-		}
-	}
-	stop := timeKernel()
-	a, b := compute(m)
-	stop()
-	c.Put(key, matPair{a.Clone(), b.Clone()})
-	return a, b
-}
+// Clone deep-copies both matrices.
+func (p matPair) Clone() matPair { return matPair{p.a.Clone(), p.b.Clone()} }
 
-// memoOne memoizes a single-matrix kernel.
-func memoOne(op string, m *Mat, compute func(*Mat) *Mat) *Mat {
-	c := getKernelCache()
-	if c == nil {
-		stop := timeKernel()
-		r := compute(m)
-		stop()
-		return r
+// memo runs one kernel through k: under op+":"+m.Key() in k.Cache
+// when there is one, cloning on both store and load, and timed into
+// k.Time/k.Ops when it computes. A cached value of the wrong type
+// (possible only if a persistence layer fed back a record under the
+// wrong key) is ignored and recomputed.
+func memo[T interface{ Clone() T }](k *Kernels, op string, m *Mat, compute func(*Mat) T) T {
+	if k == nil {
+		return compute(m)
 	}
-	key := op + ":" + m.Key()
-	if v, ok := c.Get(key); ok {
-		if r, ok := v.(*Mat); ok {
-			return r.Clone()
+	var key string
+	if k.Cache != nil {
+		key = op + ":" + m.Key()
+		if v, ok := k.Cache.Get(key); ok {
+			if r, ok := v.(T); ok {
+				return r.Clone()
+			}
 		}
 	}
-	stop := timeKernel()
+	t0 := time.Now()
 	r := compute(m)
-	stop()
-	c.Put(key, r.Clone())
+	k.Time += time.Since(t0)
+	k.Ops++
+	if k.Cache != nil {
+		k.Cache.Put(key, r.Clone())
+	}
 	return r
 }
 
 // KernelRec is the portable, JSON-serializable form of one kernel
 // memo value — a single matrix or a pair — so a disk tier can persist
 // the kernel cache (Hermite forms, unimodular inverses, kernel bases)
-// under the same op:key scheme the memo hooks use.
+// under the same op:key scheme Kernels uses.
 type KernelRec struct {
 	A Rec  `json:"a"`
 	B *Rec `json:"b,omitempty"`
 }
 
-// EncodeKernelValue serializes a value produced by the kernel memo
-// hooks; ok is false for foreign values (which a persistence layer
-// must simply skip).
+// EncodeKernelValue serializes a value a Kernels handle stores; ok
+// is false for foreign values (which a persistence layer must simply
+// skip).
 func EncodeKernelValue(v any) (KernelRec, bool) {
 	switch t := v.(type) {
 	case *Mat:

@@ -7,7 +7,7 @@ import (
 
 // Key returns a canonical string identity of m: two matrices have the
 // same Key iff they have the same shape and entries. It is the cache
-// key of the kernel memo hooks (see KernelCache); the format is
+// key of the kernel memo (see Kernels); the format is
 // "rowsxcols:v00,v01,…" in row-major order.
 func (m *Mat) Key() string {
 	var b strings.Builder

@@ -23,7 +23,7 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
-// mapCache is a minimal KernelCache for testing the memo hooks.
+// mapCache is a minimal KernelCache for testing the Kernels memo.
 type mapCache struct {
 	mu   sync.Mutex
 	m    map[string]any
@@ -46,17 +46,17 @@ func (c *mapCache) Put(key string, v any) {
 	c.m[key] = v
 }
 
-// TestKernelCacheMemoizes: with a cache installed, HermiteLeft,
+// TestKernelCacheMemoizes: through a handle with a cache, HermiteLeft,
 // InverseUnimodular and KernelBasis return identical results on hits,
-// and mutating a returned matrix cannot corrupt the cached value.
+// mutating a returned matrix cannot corrupt the cached value, and the
+// handle counts only the kernels it computed.
 func TestKernelCacheMemoizes(t *testing.T) {
 	c := &mapCache{m: map[string]any{}}
-	SetKernelCache(c)
-	defer SetKernelCache(nil)
+	k := &Kernels{Cache: c}
 
 	m := New(3, 2, 12, 4, 6, 8, 10, 14)
-	q1, h1 := HermiteLeft(m)
-	q2, h2 := HermiteLeft(m)
+	q1, h1 := k.HermiteLeft(m)
+	q2, h2 := k.HermiteLeft(m)
 	if !q1.Equal(q2) || !h1.Equal(h2) {
 		t.Fatal("cached HermiteLeft differs from computed")
 	}
@@ -66,36 +66,51 @@ func TestKernelCacheMemoizes(t *testing.T) {
 	// poison the returned copies; the cache must be unaffected
 	q2.Set(0, 0, 999)
 	h2.Set(0, 0, 999)
-	q3, h3 := HermiteLeft(m)
+	q3, h3 := k.HermiteLeft(m)
 	if !q3.Equal(q1) || !h3.Equal(h1) {
 		t.Fatal("mutating a returned matrix corrupted the cache")
 	}
 
 	u := New(2, 2, 1, 1, 0, 1)
-	inv1 := InverseUnimodular(u)
-	inv2 := InverseUnimodular(u)
+	inv1 := k.InverseUnimodular(u)
+	inv2 := k.InverseUnimodular(u)
 	if !inv1.Equal(inv2) {
 		t.Fatal("cached InverseUnimodular differs")
 	}
 
-	k := New(2, 3, 1, 0, 0, 0, 1, 0)
-	ker1 := KernelBasis(k)
-	ker2 := KernelBasis(k)
+	km := New(2, 3, 1, 0, 0, 0, 1, 0)
+	ker1 := k.KernelBasis(km)
+	ker2 := k.KernelBasis(km)
 	if !ker1.Equal(ker2) {
 		t.Fatal("cached KernelBasis differs")
 	}
 	if ker1.Rows() != 3 || ker1.Cols() != 1 {
 		t.Fatalf("kernel basis shape %dx%d, want 3x1", ker1.Rows(), ker1.Cols())
 	}
+	// one computation per distinct (op, matrix); every repeat was a hit
+	if k.Ops != 3 || c.hits != 4 || len(c.m) != 3 {
+		t.Errorf("handle computed %d kernels with %d hits over %d keys, want 3, 4, 3", k.Ops, c.hits, len(c.m))
+	}
+	if k.Time <= 0 {
+		t.Error("handle recorded no kernel time")
+	}
 }
 
-// TestKernelCacheDisabled: with no cache installed everything still
-// works (the default path).
+// TestKernelCacheDisabled: a handle without a cache computes every
+// call and still accounts each one, and the nil handle (the
+// package-level functions) computes plainly.
 func TestKernelCacheDisabled(t *testing.T) {
-	SetKernelCache(nil)
 	m := New(2, 2, 2, 0, 0, 2)
-	_, h := HermiteLeft(m)
-	if h.At(0, 0) != 2 {
-		t.Errorf("HermiteLeft without cache: H = %v", h)
+	k := &Kernels{}
+	for i := 0; i < 2; i++ {
+		if _, h := k.HermiteLeft(m); h.At(0, 0) != 2 {
+			t.Errorf("HermiteLeft without cache: H = %v", h)
+		}
+	}
+	if k.Ops != 2 {
+		t.Errorf("cacheless handle counted %d kernels, want 2", k.Ops)
+	}
+	if _, h := HermiteLeft(m); h.At(0, 0) != 2 {
+		t.Errorf("HermiteLeft on the nil handle: H = %v", h)
 	}
 }

@@ -139,28 +139,29 @@ func rowReduce(m *Mat) reduction {
 // upper triangular — the rectangular Hermite decomposition of the
 // paper's appendix (Definition 1, stated there with the lower/upper
 // convention mirrored).
-func HermiteLeft(m *Mat) (Q, H *Mat) {
-	return memoPair("hnfL", m, func(m *Mat) (*Mat, *Mat) {
+func (k *Kernels) HermiteLeft(m *Mat) (Q, H *Mat) {
+	p := memo(k, "hnfL", m, func(m *Mat) matPair {
 		red := rowReduce(m)
-		return fromBig(red.Q), fromBig(red.H)
+		return matPair{fromBig(red.Q), fromBig(red.H)}
 	})
+	return p.a, p.b
 }
 
 // HermiteRight returns the column Hermite normal form H and a
 // unimodular Q such that m = H·Q. When m has full row rank, H is a
 // column echelon (lower triangular) matrix padded with zero columns.
-func HermiteRight(m *Mat) (H, Q *Mat) {
-	qt, ht := HermiteLeft(m.Transpose())
+func (k *Kernels) HermiteRight(m *Mat) (H, Q *Mat) {
+	qt, ht := k.HermiteLeft(m.Transpose())
 	return ht.Transpose(), qt.Transpose()
 }
 
 // InverseUnimodular returns the exact integer inverse of a unimodular
 // matrix, panicking if m is not unimodular.
-func InverseUnimodular(m *Mat) *Mat {
+func (k *Kernels) InverseUnimodular(m *Mat) *Mat {
 	if !m.IsSquare() {
 		panic("intmat: InverseUnimodular of non-square matrix")
 	}
-	return memoOne("inv", m, func(m *Mat) *Mat {
+	return memo(k, "inv", m, func(m *Mat) *Mat {
 		red := rowReduce(m)
 		H := fromBig(red.H)
 		if !H.IsIdentity() {
@@ -169,6 +170,16 @@ func InverseUnimodular(m *Mat) *Mat {
 		return fromBig(red.U)
 	})
 }
+
+// HermiteLeft is Kernels.HermiteLeft with no memo and no accounting.
+func HermiteLeft(m *Mat) (Q, H *Mat) { return (*Kernels)(nil).HermiteLeft(m) }
+
+// HermiteRight is Kernels.HermiteRight with no memo and no accounting.
+func HermiteRight(m *Mat) (H, Q *Mat) { return (*Kernels)(nil).HermiteRight(m) }
+
+// InverseUnimodular is Kernels.InverseUnimodular with no memo and no
+// accounting.
+func InverseUnimodular(m *Mat) *Mat { return (*Kernels)(nil).InverseUnimodular(m) }
 
 // LeftInverseInt returns an integer matrix G with G·F = Id (F of size
 // q×d, full column rank d ≤ q) when one exists over the integers, i.e.

@@ -9,8 +9,8 @@ import "math/big"
 //
 // The basis is obtained from the column Hermite reduction m·V = [B 0]:
 // the trailing columns of the unimodular V span the kernel.
-func KernelBasis(m *Mat) *Mat {
-	return memoOne("ker", m, kernelBasis)
+func (k *Kernels) KernelBasis(m *Mat) *Mat {
+	return memo(k, "ker", m, kernelBasis)
 }
 
 func kernelBasis(m *Mat) *Mat {
@@ -98,15 +98,15 @@ func kernelBasis(m *Mat) *Mat {
 
 // LeftKernelBasis returns a matrix whose rows form a basis of
 // {y : y·m = 0}.
-func LeftKernelBasis(m *Mat) *Mat {
-	return KernelBasis(m.Transpose()).Transpose()
+func (k *Kernels) LeftKernelBasis(m *Mat) *Mat {
+	return k.KernelBasis(m.Transpose()).Transpose()
 }
 
 // KernelIntersection returns a basis (as columns) of the intersection
 // of the kernels of the given matrices, i.e. the kernel of their
 // vertical stack. All matrices must have the same column count.
 // Matrices with zero rows are treated as "no constraint".
-func KernelIntersection(ms ...*Mat) *Mat {
+func (k *Kernels) KernelIntersection(ms ...*Mat) *Mat {
 	var stacked *Mat
 	for _, m := range ms {
 		if m == nil || m.rows == 0 {
@@ -121,8 +121,19 @@ func KernelIntersection(ms ...*Mat) *Mat {
 	if stacked == nil {
 		panic("intmat: KernelIntersection needs at least one non-empty matrix")
 	}
-	return KernelBasis(stacked)
+	return k.KernelBasis(stacked)
 }
+
+// KernelBasis is Kernels.KernelBasis with no memo and no accounting.
+func KernelBasis(m *Mat) *Mat { return (*Kernels)(nil).KernelBasis(m) }
+
+// LeftKernelBasis is Kernels.LeftKernelBasis with no memo and no
+// accounting.
+func LeftKernelBasis(m *Mat) *Mat { return (*Kernels)(nil).LeftKernelBasis(m) }
+
+// KernelIntersection is Kernels.KernelIntersection with no memo and no
+// accounting.
+func KernelIntersection(ms ...*Mat) *Mat { return (*Kernels)(nil).KernelIntersection(ms...) }
 
 // InKernel reports whether m·v = 0.
 func InKernel(m *Mat, v []int64) bool {

@@ -108,10 +108,10 @@ func AxisParallel(d *intmat.Mat) bool {
 
 // AxisAlignRotation returns a unimodular V such that V·D spans a
 // coordinate subspace (Section 4.1: the left Hermite decomposition
-// D = Q·[H;0] gives V = Q⁻¹).
-func AxisAlignRotation(d *intmat.Mat) *intmat.Mat {
-	q, _ := intmat.HermiteLeft(d)
-	return intmat.InverseUnimodular(q)
+// D = Q·[H;0] gives V = Q⁻¹), computed through k (nil: plainly).
+func AxisAlignRotation(k *intmat.Kernels, d *intmat.Mat) *intmat.Mat {
+	q, _ := k.HermiteLeft(d)
+	return k.InverseUnimodular(q)
 }
 
 // String renders a macro-communication.
@@ -129,8 +129,9 @@ func (mc *Macro) String() string {
 // Detect classifies one residual communication of an alignment
 // result, returning every macro-communication pattern it matches
 // (possibly none). A read access is tested for broadcast and scatter;
-// a write access for gather; a reduction access for reduction.
-func Detect(res *alignment.Result, c accessgraph.Comm) []*Macro {
+// a write access for gather; a reduction access for reduction. The
+// kernel intersections are computed through k (nil: plainly).
+func Detect(k *intmat.Kernels, res *alignment.Result, c accessgraph.Comm) []*Macro {
 	var out []*Macro
 	theta := c.Stmt.ScheduleOrEmpty()
 	ms := res.Alloc[c.Stmt.Name]
@@ -158,30 +159,30 @@ func Detect(res *alignment.Result, c accessgraph.Comm) []*Macro {
 
 	if c.Access.Reduction {
 		// one array element accumulated from several processors
-		if m := mk(Reduction, intmat.KernelIntersection(theta, fa)); m != nil {
+		if m := mk(Reduction, k.KernelIntersection(theta, fa)); m != nil {
 			out = append(out, m)
 		}
 		return out
 	}
 	if !c.Access.Write {
 		// broadcast: same datum to several destinations
-		if m := mk(Broadcast, intmat.KernelIntersection(theta, fa)); m != nil && m.P >= 1 {
+		if m := mk(Broadcast, k.KernelIntersection(theta, fa)); m != nil && m.P >= 1 {
 			out = append(out, m)
 		}
 		// scatter: same source processor, different data
-		k := intmat.KernelIntersection(theta, mxfa)
-		if m := mk(Scatter, k); m != nil && m.P >= 1 {
+		ker := k.KernelIntersection(theta, mxfa)
+		if m := mk(Scatter, ker); m != nil && m.P >= 1 {
 			// distinct data required: F_a must not kill the kernel
-			if intmat.Mul(fa, k).Rank() >= 1 {
+			if intmat.Mul(fa, ker).Rank() >= 1 {
 				out = append(out, m)
 			}
 		}
 		return out
 	}
 	// write access: gather — several sources into one array owner
-	k := intmat.KernelIntersection(theta, mxfa)
-	if m := mk(Gather, k); m != nil && m.P >= 1 {
-		if intmat.Mul(fa, k).Rank() >= 1 {
+	ker := k.KernelIntersection(theta, mxfa)
+	if m := mk(Gather, ker); m != nil && m.P >= 1 {
+		if intmat.Mul(fa, ker).Rank() >= 1 {
 			out = append(out, m)
 		}
 	}
@@ -192,7 +193,7 @@ func Detect(res *alignment.Result, c accessgraph.Comm) []*Macro {
 func DetectAll(res *alignment.Result) []*Macro {
 	var out []*Macro
 	for _, c := range res.ResidualComms() {
-		out = append(out, Detect(res, c)...)
+		out = append(out, Detect(nil, res, c)...)
 	}
 	return out
 }
@@ -214,11 +215,12 @@ func Vectorizable(res *alignment.Result, c accessgraph.Comm) bool {
 // AlignBroadcast rotates the component of the statement so that the
 // given partial macro-communication becomes axis-parallel, and
 // returns the rotation applied (identity if already axis-parallel).
-func AlignBroadcast(res *alignment.Result, mc *Macro) (*intmat.Mat, error) {
+// The rotation is computed through k (nil: plainly).
+func AlignBroadcast(k *intmat.Kernels, res *alignment.Result, mc *Macro) (*intmat.Mat, error) {
 	if mc.AxisParallel() {
 		return intmat.Identity(res.M), nil
 	}
-	v := AxisAlignRotation(mc.Directions)
+	v := AxisAlignRotation(k, mc.Directions)
 	if err := res.RotateComponent(mc.Comm.Stmt.Name, v); err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func TestBroadcastDetectionExample1(t *testing.T) {
 	// canonical mapping; after the unimodular rotation it is.
 	res := mustAlign(t, affine.PaperExample1(), 2)
 	c := findResidual(t, res, "S2", 2) // F7 read
-	ms := Detect(res, c)
+	ms := Detect(nil, res, c)
 	var bc *Macro
 	for _, m := range ms {
 		if m.Kind == Broadcast {
@@ -51,7 +51,7 @@ func TestBroadcastDetectionExample1(t *testing.T) {
 	if bc.AxisParallel() {
 		t.Fatalf("broadcast along %v should not be axis-parallel before rotation", bc.Directions)
 	}
-	v, err := AlignBroadcast(res, bc)
+	v, err := AlignBroadcast(nil, res, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestExample2TotalVsPartialBroadcast(t *testing.T) {
 			c = cc
 		}
 	}
-	ms := Detect(res, c)
+	ms := Detect(nil, res, c)
 	var bc *Macro
 	for _, m := range ms {
 		if m.Kind == Broadcast {
@@ -106,7 +106,7 @@ func TestExample2TotalVsPartialBroadcast(t *testing.T) {
 
 	// Hidden case: M_S kills the broadcast direction e3.
 	res.Alloc["S"] = intmat.New(2, 3, 1, 0, 0, 0, 1, 0)
-	ms = Detect(res, c)
+	ms = Detect(nil, res, c)
 	for _, m := range ms {
 		if m.Kind == Broadcast {
 			t.Fatalf("broadcast should be hidden, got %v", m)
@@ -126,7 +126,7 @@ func TestGaussBroadcasts(t *testing.T) {
 		if c.Access.Write {
 			continue
 		}
-		for _, m := range Detect(res, c) {
+		for _, m := range Detect(nil, res, c) {
 			if m.Kind == Broadcast && m.Partial() {
 				if !m.AxisParallel() {
 					t.Fatalf("gauss broadcast not axis parallel: %v", m.Directions)
@@ -151,7 +151,7 @@ func TestMatMulReduction(t *testing.T) {
 		if !c.Access.Reduction {
 			continue
 		}
-		for _, m := range Detect(res, c) {
+		for _, m := range Detect(nil, res, c) {
 			if m.Kind == Reduction {
 				red = m
 			}
@@ -169,7 +169,7 @@ func TestMatMulReduction(t *testing.T) {
 		if !c.Access.Reduction {
 			continue
 		}
-		for _, m := range Detect(res, c) {
+		for _, m := range Detect(nil, res, c) {
 			if m.Kind == Reduction && !m.Hidden() {
 				t.Fatalf("reduction should be hidden: %v", m)
 			}
@@ -194,7 +194,7 @@ func TestGatherExample3(t *testing.T) {
 		if !c.Access.Write {
 			continue
 		}
-		for _, m := range Detect(res, c) {
+		for _, m := range Detect(nil, res, c) {
 			if m.Kind == Gather && m.P >= 1 {
 				found = true
 			}
@@ -236,7 +236,7 @@ func TestScatterDetection(t *testing.T) {
 		if c.Access.Write || c.Access.Array != "a" {
 			continue
 		}
-		for _, m := range Detect(res, c) {
+		for _, m := range Detect(nil, res, c) {
 			if m.Kind == Scatter && m.P >= 1 {
 				found = true
 			}
@@ -287,7 +287,7 @@ func TestAxisParallelHelper(t *testing.T) {
 		t.Fatal("rank-2 span{e1,e2} not detected")
 	}
 	d := intmat.New(2, 1, 1, -1)
-	v := AxisAlignRotation(d)
+	v := AxisAlignRotation(nil, d)
 	if !v.IsUnimodular() {
 		t.Fatal("rotation not unimodular")
 	}

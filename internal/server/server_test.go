@@ -70,8 +70,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 // to a direct core.Optimize call.
 func TestConcurrentOptimize(t *testing.T) {
 	examples := affine.AllExamples()
-	// Reference answers first: core.Optimize runs outside the session
-	// (sessions hold the process-global engine lock until Close).
+	// Reference answers first, from core.Optimize outside any session.
 	want := make(map[string]api.OptimizeResponse, len(examples))
 	for _, p := range examples {
 		want[p.Name] = direct(t, p, 2)

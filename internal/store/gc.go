@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -57,10 +58,15 @@ const staleTempAge = time.Hour
 // Removing a live plan or kernel is always safe — the engine
 // recomputes and rewrites it — so GC can run concurrently with
 // serving traffic. Unremovable files are recorded as store warnings
-// and kept in the Kept count.
+// and kept in the Kept count. The sweep is counted in GCTotals when it
+// starts and each removal as it happens, so a file already gone from
+// disk is always in the totals, even mid-sweep.
 func (s *Store) GC(opts GCOptions) (GCResult, error) {
 	var res GCResult
 	now := time.Now()
+	if !opts.DryRun {
+		s.gcSweeps.Add(1)
+	}
 	for _, tier := range []string{"plans", "kernels", "compiled"} {
 		if err := s.gcTier(filepath.Join(s.root, tier), now, opts, &res); err != nil {
 			return res, err
@@ -80,18 +86,9 @@ func (s *Store) GC(opts GCOptions) (GCResult, error) {
 				continue
 			}
 			if info, err := e.Info(); err == nil && now.Sub(info.ModTime()) > staleTempAge {
-				if s.gcRemove(filepath.Join(s.root, tier, e.Name()), opts.DryRun) {
-					res.RemovedTemp++
-				}
+				s.gcRemove(filepath.Join(s.root, tier, e.Name()), 0, gcTemp, opts.DryRun, &res)
 			}
 		}
-	}
-	if !opts.DryRun {
-		s.gcSweeps.Add(1)
-		s.gcRemovedAge.Add(uint64(res.RemovedAge))
-		s.gcRemovedLRU.Add(uint64(res.RemovedLRU))
-		s.gcRemovedTemp.Add(uint64(res.RemovedTemp))
-		s.gcBytesFreed.Add(res.BytesFreed)
 	}
 	return res, nil
 }
@@ -140,9 +137,7 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 		}
 		if strings.HasPrefix(d.Name(), ".tmp-") {
 			if now.Sub(info.ModTime()) > staleTempAge {
-				if s.gcRemove(path, opts.DryRun) {
-					res.RemovedTemp++
-				}
+				s.gcRemove(path, 0, gcTemp, opts.DryRun, res)
 			}
 			return nil
 		}
@@ -158,12 +153,8 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 	if opts.MaxAge > 0 {
 		kept := files[:0]
 		for _, f := range files {
-			if now.Sub(f.mtime) > opts.MaxAge {
-				if s.gcRemove(f.path, opts.DryRun) {
-					res.RemovedAge++
-					res.BytesFreed += f.size
-					continue
-				}
+			if now.Sub(f.mtime) > opts.MaxAge && s.gcRemove(f.path, f.size, gcAge, opts.DryRun, res) {
+				continue
 			}
 			kept = append(kept, f)
 		}
@@ -176,10 +167,7 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 		excess := files[:len(files)-opts.MaxPlans]
 		kept := files[len(files)-opts.MaxPlans:]
 		for _, f := range excess {
-			if s.gcRemove(f.path, opts.DryRun) {
-				res.RemovedLRU++
-				res.BytesFreed += f.size
-			} else {
+			if !s.gcRemove(f.path, f.size, gcLRU, opts.DryRun, res) {
 				kept = append(kept, f)
 			}
 		}
@@ -193,16 +181,43 @@ func (s *Store) gcTier(dir string, now time.Time, opts GCOptions, res *GCResult)
 	return nil
 }
 
-// gcRemove deletes one file (or pretends to, under DryRun) and
-// reports success; failures become store warnings.
-func (s *Store) gcRemove(path string, dryRun bool) bool {
-	if dryRun {
-		return true
+// gcReason names the criterion a GC removal counts under.
+type gcReason int
+
+const (
+	gcAge gcReason = iota
+	gcLRU
+	gcTemp
+)
+
+// gcRemove deletes one file of size bytes (or pretends to, under
+// DryRun), counts it under why in res, and reports success; failures
+// become store warnings. A real removal is counted in GCTotals before
+// the file goes and taken back if it stays, so no reader sees the
+// file gone but uncounted.
+func (s *Store) gcRemove(path string, size int64, why gcReason, dryRun bool, res *GCResult) bool {
+	var n *int
+	var total *atomic.Uint64
+	switch why {
+	case gcAge:
+		n, total = &res.RemovedAge, &s.gcRemovedAge
+	case gcLRU:
+		n, total = &res.RemovedLRU, &s.gcRemovedLRU
+	default:
+		n, total = &res.RemovedTemp, &s.gcRemovedTemp
 	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		s.warnf("gc: removing %s: %v", path, err)
-		return false
+	if !dryRun {
+		total.Add(1)
+		s.gcBytesFreed.Add(size)
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			total.Add(^uint64(0))
+			s.gcBytesFreed.Add(-size)
+			s.warnf("gc: removing %s: %v", path, err)
+			return false
+		}
 	}
+	*n++
+	res.BytesFreed += size
 	return true
 }
 

@@ -9,7 +9,7 @@
 //     a fresh computation, so repeated CLI sweeps and daemon restarts
 //     are compile-once/reuse-many across processes;
 //   - kernel memo values (Hermite forms, unimodular inverses, kernel
-//     bases), keyed by the intmat memo hooks' op:key scheme, under
+//     bases), keyed by intmat.Kernels' op:key scheme, under
 //     kernels/<hh>/<hash>.json, so cold starts skip the exact linear
 //     algebra too — a suite of fresh nests on a warm store recomputes
 //     nothing it has ever factored before;

@@ -1,9 +1,10 @@
 #!/bin/sh
 # scripts/bench.sh — record one point of the perf trajectory.
 #
-# Runs the collective-selection and engine benchmarks with -benchmem
-# and writes BENCH_<n>.json (n = the next free index) in the repo
-# root: per-benchmark ns/op, B/op and allocs/op plus run metadata.
+# Runs the paper-core (root bench_test.go: Edmonds, Hermite, the full
+# pipeline, Figure 8), collective-selection and engine benchmarks with
+# -benchmem and writes BENCH_<n>.json (n = the next free index) in the
+# repo root: per-benchmark ns/op, B/op and allocs/op plus run metadata.
 # When BENCH_<n-1>.json exists in the output directory, the new file
 # also carries a delta section — per-benchmark ns/op ratios against
 # the previous record (ratio < 1 means faster now) — and the same
@@ -19,7 +20,7 @@ set -eu
 cd "$(dirname "$0")/.."
 out_dir="${1:-.}"
 benchtime="${BENCHTIME:-1x}"
-pkgs="./internal/collective ./internal/engine"
+pkgs=". ./internal/collective ./internal/engine"
 
 n=1
 while [ -e "$out_dir/BENCH_$n.json" ]; do
