@@ -266,6 +266,25 @@ func benchEngine(b *testing.B, workers int, disableCache bool) {
 	b.ReportMetric(res.TotalModelTime, "model-µs")
 }
 
+// BenchmarkBigSweep runs the published big-sweep suite (the spec
+// baselines/big-sweep.json records: seed 42, random 6, deep 4, skew,
+// big meshes, m 3 — 200 scenarios) through a fresh engine.Session per
+// op, so every op pays the cold work: plans, collective selection and
+// the mesh cost layer's templates.
+func BenchmarkBigSweep(b *testing.B) {
+	suite := scenarios.Generate(scenarios.Config{Seed: 42, Random: 6, Deep: 4, Skew: true, BigMeshes: true, M: 3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *engine.BatchResult
+	for i := 0; i < b.N; i++ {
+		res = engine.Run(suite, engine.Options{})
+	}
+	if len(res.Results) != 200 || res.Errors != 0 {
+		b.Fatalf("big sweep: %d results, %d errors; want 200, 0", len(res.Results), res.Errors)
+	}
+	b.ReportMetric(res.TotalModelTime, "model-µs")
+}
+
 func BenchmarkEngineSequential(b *testing.B) { benchEngine(b, 1, false) }
 func BenchmarkEngineParallel(b *testing.B)   { benchEngine(b, 0, false) }
 func BenchmarkEngineNoCache(b *testing.B)    { benchEngine(b, 0, true) }

@@ -25,37 +25,14 @@ func PermuteRounds(m *machine.Mesh2D, msgs []machine.Message, algo string) []Rou
 	switch algo {
 	case "direct":
 		return []Round{append(Round(nil), msgs...)}
-	case "xy-phased":
-		var phase1, phase2 Round
-		for _, msg := range msgs {
-			if msg.Src == msg.Dst {
-				continue
-			}
-			_, sy := m.Coords(msg.Src)
-			dx, _ := m.Coords(msg.Dst)
-			corner := m.Rank(dx, sy)
-			if corner != msg.Src {
-				phase1 = append(phase1, machine.Message{Src: msg.Src, Dst: corner, Bytes: msg.Bytes})
-			}
-			if corner != msg.Dst {
-				phase2 = append(phase2, machine.Message{Src: corner, Dst: msg.Dst, Bytes: msg.Bytes})
-			}
-		}
-		var rounds []Round
-		if len(phase1) > 0 {
-			rounds = append(rounds, phase1)
-		}
-		if len(phase2) > 0 {
-			rounds = append(rounds, phase2)
-		}
-		return rounds
-	case "staggered":
-		// Checkerboard coloring: sources on even diagonals (x+y) route
-		// x-first through the (dx, sy) corner, odd diagonals y-first
-		// through the (sx, dy) corner. Both phases therefore carry a
-		// mix of x- and y-traffic from disjoint source sets, which is
-		// what breaks up the single-corner hot spots of xy-phased on
-		// dense affine patterns.
+	case "xy-phased", "staggered":
+		// Both store-and-forward at a corner. xy-phased routes every
+		// message x-first through the (dx, sy) corner. staggered
+		// checkerboard-colors the sources: even diagonals (x+y) route
+		// x-first, odd ones y-first through the (sx, dy) corner, so
+		// both phases carry a mix of x- and y-traffic from disjoint
+		// source sets, which breaks up the single-corner hot spots of
+		// xy-phased on dense affine patterns.
 		var phase1, phase2 Round
 		for _, msg := range msgs {
 			if msg.Src == msg.Dst {
@@ -63,9 +40,9 @@ func PermuteRounds(m *machine.Mesh2D, msgs []machine.Message, algo string) []Rou
 			}
 			sx, sy := m.Coords(msg.Src)
 			dx, dy := m.Coords(msg.Dst)
-			corner := m.Rank(dx, sy) // x-first
-			if (sx+sy)%2 == 1 {
-				corner = m.Rank(sx, dy) // y-first
+			corner := m.Rank(dx, sy)
+			if algo == "staggered" && (sx+sy)%2 == 1 {
+				corner = m.Rank(sx, dy)
 			}
 			if corner != msg.Src {
 				phase1 = append(phase1, machine.Message{Src: msg.Src, Dst: corner, Bytes: msg.Bytes})
@@ -104,6 +81,100 @@ func SelectPermute(m *machine.Mesh2D, msgs []machine.Message, force string) Choi
 	}
 	if best.Cost < 0 {
 		return SelectPermute(m, msgs, "")
+	}
+	return best
+}
+
+// PatternTemplate is SelectPermute compiled for one message pattern:
+// each permute schedule of the pattern reduced to its contention
+// rounds. It is compiled from the pattern at one byte per element —
+// every message's Bytes is its element count c — and prices the
+// pattern at any element size e, where every message carries c·e
+// bytes: the packing reads only paths, so a contention round's largest
+// message is maxCount·e, formed as an int64 before the float
+// conversion exactly as Mesh2D.Time forms it. Time and SelectPermute
+// are therefore bit-identical to Mesh2D.Time and SelectPermute over
+// the pattern built at e ≥ 0 on the compiled geometry, allocate
+// nothing, and are safe for concurrent use.
+type PatternTemplate struct {
+	scheds []permuteSched
+}
+
+// permuteSched is one permute algorithm's compiled schedule: per
+// schedule round, its contention rounds in packing order.
+type permuteSched struct {
+	name   string
+	rounds [][]countRound
+}
+
+// countRound is one contention round: its largest element count and
+// longest path. int32 holds both: compiling materializes the n×n
+// grid's messages, so a count beyond 2^31 never gets this far.
+type countRound struct {
+	count, hops int32
+}
+
+// CompilePattern compiles the pattern's permute schedules: all of
+// them for SelectPermute, or only the direct one — all Time reads,
+// the pricing of a general communication — when direct is set.
+func CompilePattern(m *machine.Mesh2D, counts []machine.Message, direct bool) *PatternTemplate {
+	algos := permuteAlgos
+	if direct {
+		algos = algos[:1]
+	}
+	t := &PatternTemplate{scheds: make([]permuteSched, len(algos))}
+	var buf []countRound
+	for i, name := range algos {
+		rounds := PermuteRounds(m, counts, name)
+		s := permuteSched{name: name, rounds: make([][]countRound, len(rounds))}
+		for ri, r := range rounds {
+			buf = buf[:0]
+			m.Rounds(r, func(maxCount int64, maxHops int) {
+				buf = append(buf, countRound{count: int32(maxCount), hops: int32(maxHops)})
+			})
+			s.rounds[ri] = append([]countRound(nil), buf...)
+		}
+		t.scheds[i] = s
+	}
+	return t
+}
+
+// price folds a schedule at the element size as MeshCost does: each
+// schedule round's contention rounds sum to the round's Mesh2D.Time,
+// which adds to the running total.
+func (s *permuteSched) price(m *machine.Mesh2D, elemBytes int64) float64 {
+	total := 0.0
+	for _, r := range s.rounds {
+		t := 0.0
+		for _, c := range r {
+			t += m.Startup + float64(int64(c.count)*elemBytes)*m.PerByte + float64(c.hops)*m.HopLatency
+		}
+		total += t
+	}
+	return total
+}
+
+// Time is m.Time of the pattern at elemBytes per element.
+func (t *PatternTemplate) Time(m *machine.Mesh2D, elemBytes int64) float64 {
+	return t.scheds[0].price(m, elemBytes)
+}
+
+// SelectPermute is SelectPermute over the compiled schedules, with
+// the same order, tie-breaking and force fall-back.
+func (t *PatternTemplate) SelectPermute(m *machine.Mesh2D, elemBytes int64, force string) Choice {
+	best := Choice{Pattern: Shift, Cost: -1}
+	for i := range t.scheds {
+		s := &t.scheds[i]
+		if force != "" && s.name != force {
+			continue
+		}
+		cost := s.price(m, elemBytes)
+		if best.Cost < 0 || cost < best.Cost {
+			best = Choice{Pattern: Shift, Algorithm: s.name, Cost: cost, Rounds: len(s.rounds)}
+		}
+	}
+	if best.Cost < 0 {
+		return t.SelectPermute(m, elemBytes, "")
 	}
 	return best
 }

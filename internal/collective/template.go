@@ -122,7 +122,7 @@ func (e *evaluator) compileRound(sr shapeRound, mirror bool) pricedRound {
 	nr := e.ev.Assign(buf, assign)
 	groups := make([]contGroup, nr)
 	for i := range groups {
-		groups[i].maxHops = e.ev.RoundHops(i)
+		_, groups[i].maxHops = e.ev.Round(i)
 	}
 	for j, sm := range sr {
 		if assign[j] >= 0 {

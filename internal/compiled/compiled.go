@@ -5,17 +5,16 @@
 // result — an Artifact — is the machine-independent projection of the
 // plans. The numeric phase (Artifact.Eval) prices those plans on a
 // concrete machine instance through the same cost model the engine
-// uses, with mesh collective selection served from compiled
-// collective.MeshTemplates cached in a Pricer, so sweeping a lattice
-// of (P, Q, bytes) points costs one structural compile plus one cheap
-// arithmetic evaluation per point instead of one cold optimize each.
+// uses, with mesh pricing served from compiled templates cached in a
+// Pricer, so sweeping a lattice of (P, Q, bytes) points costs one
+// structural compile plus one cheap arithmetic evaluation per point
+// instead of one cold optimize each.
 //
 // Equivalence is the package's contract: for any scenario, Eval
 // returns bit-identical model time, class counts and collective
-// summaries to running the scenario through engine's uncompiled
-// costing — templates compile the exact Select* structure (see
-// internal/collective), and Eval replays the engine's planTime
-// dispatch term for term.
+// summaries to running the scenario through the engine — both price
+// through the one cost dispatch, EvalPlans, and templates compile the
+// exact Select* and contention structure (see internal/collective).
 package compiled
 
 import (
@@ -77,9 +76,15 @@ func Compile(sc *scenarios.Scenario) *Artifact {
 		a.Err = err.Error()
 		return a
 	}
-	a.Plans = make([]PlanShape, 0, len(res.Plans))
-	for _, pl := range res.Plans {
-		a.Plans = append(a.Plans, PlanShape{
+	a.Plans = Shapes(res.Plans)
+	return a
+}
+
+// Shapes projects optimized plans onto their plan shapes.
+func Shapes(plans []core.Plan) []PlanShape {
+	shapes := make([]PlanShape, 0, len(plans))
+	for _, pl := range plans {
+		shapes = append(shapes, PlanShape{
 			Class:          pl.Class,
 			Vectorizable:   pl.Vectorizable,
 			MacroReduction: pl.Macro != nil && pl.Macro.Kind == macro.Reduction,
@@ -88,13 +93,13 @@ func Compile(sc *scenarios.Scenario) *Artifact {
 			Dataflow:       pl.Dataflow,
 		})
 	}
-	return a
+	return shapes
 }
 
 // macroGridDims extracts the grid axes of a partial axis-parallel
 // macro-communication — the non-zero rows of its direction matrix, in
-// row order — matching the engine's projection exactly. Total, hidden
-// and non-axis macros report nil.
+// row order. Total, hidden and non-axis macros report nil
+// (machine-spanning scheduling).
 func macroGridDims(mc *macro.Macro) []int {
 	if mc == nil || !mc.Partial() || !mc.AxisParallel() {
 		return nil

@@ -10,13 +10,18 @@ import (
 	"repro/internal/machine"
 )
 
-// Pricer caches compiled collective.MeshTemplates per selection
-// structure — (mode, mesh geometry, pattern, dims, force) — and
-// serves mesh collective selections by evaluating the cached template
-// at the requested payload. Template compilation is byte-independent,
-// so one template prices every payload (and every link-cost
-// calibration of its geometry); evaluation is allocation-free and
-// bit-identical to the corresponding collective.Select* call.
+// Pricer caches compiled templates and serves mesh pricing by
+// evaluating the cached template at the requested payload:
+//   - collective.MeshTemplates per selection structure — (mode, mesh
+//     geometry, pattern, dims, force) — for macro-communications;
+//   - collective.PatternTemplates per message pattern — (mesh
+//     geometry, distribution, data-flow matrix, offset, grid size) —
+//     for decomposed phases and general communications.
+//
+// Template compilation is byte-independent, so one template prices
+// every payload (and every link-cost calibration of its geometry);
+// evaluation is allocation-free and bit-identical to the cold path it
+// replaces (collective.Select*, Mesh2D.Time).
 //
 // A Pricer is safe for concurrent use; template compilation is
 // single-flight per key. The nil *Pricer is valid and falls back to
@@ -26,6 +31,7 @@ type Pricer struct {
 	mu   sync.Mutex
 	tmpl map[string]*tmplSlot
 	bld  map[string]*builderSlot
+	pat  map[patternKey]*patternSlot
 
 	hits, misses atomic.Uint64
 	evals        atomic.Uint64
@@ -49,7 +55,7 @@ type builderSlot struct {
 
 // NewPricer returns an empty template cache.
 func NewPricer() *Pricer {
-	return &Pricer{tmpl: map[string]*tmplSlot{}, bld: map[string]*builderSlot{}}
+	return &Pricer{tmpl: map[string]*tmplSlot{}, bld: map[string]*builderSlot{}, pat: map[patternKey]*patternSlot{}}
 }
 
 // builder returns the geometry's shared template builder, creating it
@@ -84,7 +90,7 @@ func (pr *Pricer) Stats() PricerStats {
 		return PricerStats{}
 	}
 	pr.mu.Lock()
-	n := len(pr.tmpl)
+	n := len(pr.tmpl) + len(pr.pat)
 	pr.mu.Unlock()
 	return PricerStats{
 		Templates:      n,
@@ -111,9 +117,10 @@ func templateKey(mode string, m *machine.Mesh2D, p collective.Pattern, dims []in
 	return b.String()
 }
 
-// template returns the compiled template for key, compiling at most
-// once concurrently.
-func (pr *Pricer) template(key string, build func() *collective.MeshTemplate) *collective.MeshTemplate {
+// template returns the compiled template for key, compiling it at
+// most once concurrently through the geometry's shared builder, and
+// counts one evaluation.
+func (pr *Pricer) template(m *machine.Mesh2D, key string, build func(*collective.TemplateBuilder) *collective.MeshTemplate) *collective.MeshTemplate {
 	pr.mu.Lock()
 	slot, ok := pr.tmpl[key]
 	if !ok {
@@ -126,7 +133,13 @@ func (pr *Pricer) template(key string, build func() *collective.MeshTemplate) *c
 	} else {
 		pr.misses.Add(1)
 	}
-	slot.once.Do(func() { slot.t = build() })
+	slot.once.Do(func() {
+		bs := pr.builder(m)
+		bs.mu.Lock()
+		defer bs.mu.Unlock()
+		slot.t = build(bs.b)
+	})
+	pr.evals.Add(1)
 	return slot.t
 }
 
@@ -136,14 +149,9 @@ func (pr *Pricer) SelectMesh(m *machine.Mesh2D, p collective.Pattern, bytes int6
 	if pr == nil {
 		return collective.SelectMesh(m, p, 0, bytes, force)
 	}
-	bs := pr.builder(m)
-	t := pr.template(templateKey("total", m, p, nil, force), func() *collective.MeshTemplate {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		return bs.b.Total(p, force)
-	})
-	pr.evals.Add(1)
-	return t.Eval(m, bytes)
+	return pr.template(m, templateKey("total", m, p, nil, force), func(b *collective.TemplateBuilder) *collective.MeshTemplate {
+		return b.Total(p, force)
+	}).Eval(m, bytes)
 }
 
 // SelectMeshDim is collective.SelectMeshDim through the template
@@ -152,14 +160,9 @@ func (pr *Pricer) SelectMeshDim(m *machine.Mesh2D, p collective.Pattern, dim int
 	if pr == nil {
 		return collective.SelectMeshDim(m, p, dim, bytes, force)
 	}
-	bs := pr.builder(m)
-	t := pr.template(templateKey("dim", m, p, []int{dim}, force), func() *collective.MeshTemplate {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		return bs.b.Dim(p, dim, force)
-	})
-	pr.evals.Add(1)
-	return t.Eval(m, bytes)
+	return pr.template(m, templateKey("dim", m, p, []int{dim}, force), func(b *collective.TemplateBuilder) *collective.MeshTemplate {
+		return b.Dim(p, dim, force)
+	}).Eval(m, bytes)
 }
 
 // SelectMeshMacro is collective.SelectMeshMacro through the template
@@ -168,12 +171,7 @@ func (pr *Pricer) SelectMeshMacro(m *machine.Mesh2D, p collective.Pattern, dims 
 	if pr == nil {
 		return collective.SelectMeshMacro(m, p, dims, bytes, force)
 	}
-	bs := pr.builder(m)
-	t := pr.template(templateKey("macro", m, p, dims, force), func() *collective.MeshTemplate {
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		return bs.b.Macro(p, dims, force)
-	})
-	pr.evals.Add(1)
-	return t.Eval(m, bytes)
+	return pr.template(m, templateKey("macro", m, p, dims, force), func(b *collective.TemplateBuilder) *collective.MeshTemplate {
+		return b.Macro(p, dims, force)
+	}).Eval(m, bytes)
 }

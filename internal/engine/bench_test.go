@@ -14,9 +14,9 @@ import (
 	"repro/internal/scenarios"
 )
 
-// benchMacroPlan is the hot planInfo shape: a p≥2 broadcast macro on
+// benchMacroPlan is the hot plan shape: a p≥2 broadcast macro on
 // the square big mesh, the most schedule-construction-heavy selection.
-var benchMacroPlan = planInfo{class: core.MacroComm, macroDims: []int{0, 1}}
+var benchMacroPlan = compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}
 
 func benchMacroScenario() *scenarios.Scenario {
 	return &scenarios.Scenario{
@@ -33,7 +33,7 @@ func BenchmarkCollectiveMemoCold(b *testing.B) {
 	sc := benchMacroScenario()
 	var cost float64
 	for i := 0; i < b.N; i++ {
-		cost, _ = meshPlanTime(context.Background(), sc, benchMacroPlan, nil, nil, nil)
+		cost, _ = planTime(context.Background(), sc, benchMacroPlan, nil, nil, nil)
 	}
 	b.ReportMetric(cost, "model-µs")
 }
@@ -45,11 +45,11 @@ func BenchmarkCollectiveMemoCold(b *testing.B) {
 func BenchmarkCollectiveMemoWarm(b *testing.B) {
 	sc := benchMacroScenario()
 	cache := NewCache(0)
-	meshPlanTime(context.Background(), sc, benchMacroPlan, cache, nil, nil) // populate
+	planTime(context.Background(), sc, benchMacroPlan, cache, nil, nil) // populate
 	b.ResetTimer()
 	var cost float64
 	for i := 0; i < b.N; i++ {
-		cost, _ = meshPlanTime(context.Background(), sc, benchMacroPlan, cache, nil, nil)
+		cost, _ = planTime(context.Background(), sc, benchMacroPlan, cache, nil, nil)
 	}
 	b.ReportMetric(cost, "model-µs")
 }

@@ -20,7 +20,7 @@ import (
 //     options), which subsumes the access-graph construction and its
 //     maximum branching;
 //   - selection tier: the collective selector's choice per distinct
-//     (machine, pattern, dims, bytes) key (see macroChoice in
+//     (machine, pattern, dims, bytes) key (see selector in
 //     cost.go), so repeated suites stop rebuilding and repricing
 //     candidate schedules — the BenchmarkCollectiveSelect hot path.
 //

@@ -5,10 +5,19 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collective"
+	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/scenarios"
 )
+
+// planTime prices one plan exactly as runOne does: through the
+// compiled cost dispatch, with collective selections memoized in
+// cache (nil: cold).
+func planTime(ctx context.Context, sc *scenarios.Scenario, pl compiled.PlanShape, cache *Cache, pricer *compiled.Pricer, acc *selAcc) (float64, []collective.Choice) {
+	return compiled.PlanTime(pl, pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, selector(ctx, cache, acc, sc.Machine))
+}
 
 // meshSpecs are the mesh shapes of the default, skew and big-mesh
 // scenario axes.
@@ -54,8 +63,8 @@ func TestMeshMacroNeverWorseThanLegacy(t *testing.T) {
 			legacy := legacyMeshCollectiveTime(m, 16*64, reduction)
 			for _, dims := range macroDimCases {
 				sc := macroScenario(pq[0], pq[1], "")
-				cost, choices := meshPlanTime(context.Background(), sc, planInfo{
-					class: core.MacroComm, macroReduction: reduction, macroDims: dims,
+				cost, choices := planTime(context.Background(), sc, compiled.PlanShape{
+					Class: core.MacroComm, MacroReduction: reduction, MacroDims: dims,
 				}, nil, nil, nil)
 				if cost > legacy {
 					t.Errorf("mesh%dx%d dims=%v red=%v: collective cost %.0f > legacy flat %.0f",
@@ -76,8 +85,8 @@ func TestMeshMacroForcedFlatMatchesLegacy(t *testing.T) {
 		m := machine.DefaultMesh(pq[0], pq[1])
 		for _, reduction := range []bool{false, true} {
 			sc := macroScenario(pq[0], pq[1], "flat")
-			cost, choices := meshPlanTime(context.Background(), sc, planInfo{
-				class: core.MacroComm, macroReduction: reduction, macroDims: nil,
+			cost, choices := planTime(context.Background(), sc, compiled.PlanShape{
+				Class: core.MacroComm, MacroReduction: reduction, MacroDims: nil,
 			}, nil, nil, nil)
 			if want := legacyMeshCollectiveTime(m, 16*64, reduction); cost != want {
 				t.Errorf("mesh%dx%d red=%v: forced flat %.2f ≠ legacy %.2f", pq[0], pq[1], reduction, cost, want)
@@ -97,8 +106,8 @@ func TestMeshMacroForcedFlatMatchesLegacy(t *testing.T) {
 // the opposite.
 func TestMeshMacroTopologyAware(t *testing.T) {
 	for _, dims := range [][]int{{0}, {1}, {0, 2}, {1, 2}} {
-		tall, _ := meshPlanTime(context.Background(), macroScenario(64, 2, ""), planInfo{class: core.MacroComm, macroDims: dims}, nil, nil, nil)
-		flat, _ := meshPlanTime(context.Background(), macroScenario(2, 64, ""), planInfo{class: core.MacroComm, macroDims: dims}, nil, nil, nil)
+		tall, _ := planTime(context.Background(), macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}, nil, nil, nil)
+		flat, _ := planTime(context.Background(), macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}, nil, nil, nil)
 		if tall == flat {
 			t.Errorf("dims %v: mesh64x2 and mesh2x64 macro broadcasts cost identically (%.1f µs)", dims, tall)
 		}
@@ -108,8 +117,8 @@ func TestMeshMacroTopologyAware(t *testing.T) {
 	// winning schedule and the costs coincide exactly. That symmetry is
 	// the correct physics (the machines are transposes); pin it so a
 	// regression in either phase order shows up.
-	tall, _ := meshPlanTime(context.Background(), macroScenario(64, 2, ""), planInfo{class: core.MacroComm, macroDims: []int{0, 1}}, nil, nil, nil)
-	flat, _ := meshPlanTime(context.Background(), macroScenario(2, 64, ""), planInfo{class: core.MacroComm, macroDims: []int{0, 1}}, nil, nil, nil)
+	tall, _ := planTime(context.Background(), macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}, nil, nil, nil)
+	flat, _ := planTime(context.Background(), macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}, nil, nil, nil)
 	if tall != flat {
 		t.Errorf("dims [0 1]: transposed meshes with both phase orders should price identically (%.1f vs %.1f µs)", tall, flat)
 	}
@@ -127,11 +136,11 @@ func TestMeshMacroPerPlaneBound(t *testing.T) {
 				for _, dims := range [][]int{{0, 1}, {0, 2}, {1, 2}} {
 					sc := macroScenario(pq[0], pq[1], "")
 					sc.N = n
-					pi := planInfo{class: core.MacroComm, macroReduction: reduction}
-					pi.macroDims = dims
-					plane, _ := meshPlanTime(context.Background(), sc, pi, nil, nil, nil)
-					pi.macroDims = nil
-					total, _ := meshPlanTime(context.Background(), sc, pi, nil, nil, nil)
+					pi := compiled.PlanShape{Class: core.MacroComm, MacroReduction: reduction}
+					pi.MacroDims = dims
+					plane, _ := planTime(context.Background(), sc, pi, nil, nil, nil)
+					pi.MacroDims = nil
+					total, _ := planTime(context.Background(), sc, pi, nil, nil, nil)
 					if plane > total {
 						t.Errorf("mesh%dx%d dims=%v red=%v n=%d: per-plane %.2f > total %.2f",
 							pq[0], pq[1], dims, reduction, n, plane, total)
@@ -150,10 +159,10 @@ func TestMacroChoiceMemoDeterminism(t *testing.T) {
 	for _, pq := range meshSpecs {
 		for _, dims := range macroDimCases {
 			sc := macroScenario(pq[0], pq[1], "")
-			pi := planInfo{class: core.MacroComm, macroDims: dims}
-			coldCost, coldCh := meshPlanTime(context.Background(), sc, pi, nil, nil, nil)
+			pi := compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}
+			coldCost, coldCh := planTime(context.Background(), sc, pi, nil, nil, nil)
 			for i := 0; i < 3; i++ {
-				warmCost, warmCh := meshPlanTime(context.Background(), sc, pi, cache, nil, nil)
+				warmCost, warmCh := planTime(context.Background(), sc, pi, cache, nil, nil)
 				if warmCost != coldCost || len(warmCh) != 1 || warmCh[0] != coldCh[0] {
 					t.Fatalf("mesh%dx%d dims=%v: memoized selection %v (%.2f) ≠ cold %v (%.2f)",
 						pq[0], pq[1], dims, warmCh, warmCost, coldCh, coldCost)

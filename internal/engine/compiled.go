@@ -19,25 +19,6 @@ type CompiledStore interface {
 	PutCompiled(key string, rec compiled.ArtifactRec)
 }
 
-// planShapes converts a plan-tier entry to the compiled package's
-// machine-independent projection. The fields correspond one to one,
-// so an artifact built from a cached entry is byte-identical to one
-// compiled from scratch.
-func planShapes(ent planEntry) []compiled.PlanShape {
-	shapes := make([]compiled.PlanShape, 0, len(ent.plans))
-	for _, p := range ent.plans {
-		shapes = append(shapes, compiled.PlanShape{
-			Class:          p.class,
-			Vectorizable:   p.vectorizable,
-			MacroReduction: p.macroReduction,
-			MacroDims:      p.macroDims,
-			Factors:        p.factors,
-			Dataflow:       p.dataflow,
-		})
-	}
-	return shapes
-}
-
 // CompiledArtifact returns the compiled structural artifact for the
 // scenario's optimization problem, through the session's cache tiers:
 // artifact memory → compiled disk tier → build from the plan tier
@@ -54,7 +35,7 @@ func (s *Session) CompiledArtifact(ctx context.Context, sc *scenarios.Scenario) 
 	if s.cache == nil {
 		sp.Set("source", "compute")
 		ent := optimizeCtx(ctx, sc, nil)
-		return compiled.New(key, planShapes(ent), ent.err)
+		return compiled.New(key, ent.plans, ent.err)
 	}
 	ck := "compiled:" + key
 	if v, ok := s.cache.lookup(ck); ok {
@@ -85,7 +66,7 @@ func (s *Session) CompiledArtifact(ctx context.Context, sc *scenarios.Scenario) 
 		e, _, _ := computeOrLoad(ctx, sc, s.cache, s.store, s.remote)
 		return e
 	})
-	art := compiled.New(key, planShapes(ent), ent.err)
+	art := compiled.New(key, ent.plans, ent.err)
 	s.cache.store(ck, art)
 	if s.cstore != nil {
 		s.cstore.PutCompiled(key, art.Rec())

@@ -8,62 +8,9 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/compiled"
-	"repro/internal/core"
-	"repro/internal/intmat"
-	"repro/internal/machine"
 	"repro/internal/scenarios"
 	"repro/internal/trace"
 )
-
-// planTime costs one communication plan on the scenario's machine
-// model, in model-µs, and reports which collective algorithms the
-// cost-driven selector chose for it (empty for plans that involve no
-// collective operation). It reads only the cost-relevant projection
-// of the plan (planInfo), so plans loaded from the disk store cost
-// identically to freshly computed ones.
-//
-// Fat tree (CM-5-like): macro-communications go through the
-// collective selector, which keeps the hardware combining network as
-// a fixed-cost algorithm next to software trees over the data
-// network (at the Table-1 calibration the hardware wins, reproducing
-// the old fixed pricing). The scenario's per-processor payload is N
-// elements of ElemBytes; a vectorizable plan (Section 4.5) moves it
-// in one operation, a non-vectorizable one pays N element-wise
-// operations.
-//
-// Mesh (Paragon-like): plans with a concrete 2×2 data-flow matrix are
-// simulated message-by-message on the N×N virtual grid under the
-// scenario's distribution; each decomposed phase's aggregated pattern
-// is executed by the cheapest permute algorithm (direct, XY
-// corner-phased, or staggered). Macro-communications are built
-// exclusively through the collective package's priced Schedule
-// abstraction: the selector evaluates every tree algorithm
-// (bisection, binomial, dim-tree, pipelined chain,
-// scatter-allgather) against the flat root-to-all baseline on the
-// concrete mesh instance and takes the cheapest; an axis-parallel
-// p=1 macro-communication runs along its grid dimension (concurrent
-// per-line trees), a p ≥ 2 one decomposes into per-plane two-phase
-// schedules that compete with the machine-spanning execution (so it
-// never prices above the old total collective), and a total one
-// spans the machine. A general plan whose data-flow matrix is
-// unknown is costed with the transpose permutation [[0,1],[1,0]] as
-// a deterministic stand-in pattern.
-//
-// Collective selections are memoized in the session cache per
-// (machine, pattern, dims, bytes) — see macroChoice — so repeated
-// suites pay the schedule construction once per distinct key.
-//
-// The scenario's MachineSpec may pin the selection to one named
-// algorithm (the "mesh8x8:flat" spec grammar) for ablations.
-func planTime(ctx context.Context, sc *scenarios.Scenario, pl planInfo, cache *Cache, pricer *compiled.Pricer, acc *selAcc) (float64, []collective.Choice) {
-	if pl.class == core.Local {
-		return 0, nil
-	}
-	if sc.Machine.Kind == scenarios.Mesh {
-		return meshPlanTime(ctx, sc, pl, cache, pricer, acc)
-	}
-	return fatTreePlanTime(ctx, sc, pl, cache, acc)
-}
 
 // selKey is the selection-memo identity of one collective choice: the
 // machine spec (including any pinned algorithm), the pattern, the
@@ -82,167 +29,37 @@ func selKey(spec scenarios.MachineSpec, p collective.Pattern, dims []int, bytes 
 	return b.String()
 }
 
-// macroChoice runs the collective selector for a macro-communication,
-// memoized in the session cache per (machine, pattern, dims, bytes).
-// Selection is a pure function of the key, so memoized and cold
-// selections are byte-identical; with a nil cache it always selects
-// cold (the -no-cache ablation). Each call feeds the scenario's
-// selection accumulator and — under an active trace — records a
+// selector is the scenario's compiled.Selector: it runs each
+// collective selection of the cost dispatch memoized in the session
+// cache per (machine, pattern, dims, bytes). Selection is a pure
+// function of the key, so memoized and cold selections are
+// byte-identical; with a nil cache it always selects cold (the
+// -no-cache ablation). Each call feeds the scenario's selection
+// accumulator and — under an active trace — records a
 // "collective.select" span annotated with the memo outcome.
-func macroChoice(ctx context.Context, cache *Cache, acc *selAcc, spec scenarios.MachineSpec, p collective.Pattern, dims []int, bytes int64,
-	sel func() collective.Choice) collective.Choice {
-	t0 := time.Now()
-	_, sp := trace.StartSpan(ctx, "collective.select")
-	memo := "off"
-	var ch collective.Choice
-	if cache == nil {
-		ch = sel()
-	} else {
-		key := selKey(spec, p, dims, bytes)
-		if v, ok := cache.lookup(key); ok {
-			cache.selectHits.Add(1)
-			memo = "hit"
-			ch = v.(collective.Choice)
-		} else {
-			cache.selectMisses.Add(1)
-			memo = "miss"
-			ch = sel()
-			cache.store(key, ch)
-		}
-	}
-	acc.observe(time.Since(t0), memo == "hit")
-	sp.Set("memo", memo).Set("pattern", fmt.Sprint(p)).Set("choice", ch.String()).End()
-	return ch
-}
-
-func fatTreePlanTime(ctx context.Context, sc *scenarios.Scenario, pl planInfo, cache *Cache, acc *selAcc) (float64, []collective.Choice) {
-	ft := machine.DefaultFatTree(sc.Machine.P)
-	n, eb := sc.N, sc.ElemBytes
-	switch pl.class {
-	case core.MacroComm:
-		pattern := collective.Broadcast
-		if pl.macroReduction {
-			pattern = collective.Reduction
-		}
-		select1 := func(bytes int64) collective.Choice {
-			return macroChoice(ctx, cache, acc, sc.Machine, pattern, nil, bytes, func() collective.Choice {
-				return collective.SelectFatTree(ft, pattern, bytes, sc.Machine.Algo)
-			})
-		}
-		if pl.vectorizable {
-			ch := select1(eb * int64(n))
-			return ch.Cost, []collective.Choice{ch}
-		}
-		ch := select1(eb)
-		return float64(n) * ch.Cost, []collective.Choice{ch}
-	case core.Decomposed:
-		k := len(pl.factors)
-		if k == 0 {
-			k = 1 // pure translation
-		}
-		one := func(bytes int64) float64 { return float64(k) * ft.Translation(bytes) }
-		if pl.vectorizable {
-			return one(eb * int64(n)), nil
-		}
-		return float64(n) * one(eb), nil
-	default:
-		if pl.vectorizable {
-			return ft.General(1, eb*int64(n)), nil
-		}
-		return float64(n) * ft.General(1, eb), nil
-	}
-}
-
-// standInGeneral is the deterministic pattern used when a general
-// plan has no usable 2×2 data-flow matrix.
-var standInGeneral = intmat.New(2, 2, 0, 1, 1, 0)
-
-// physMacroDims projects a macro's virtual grid axes onto the 2-D
-// mesh: axes ≥ 2 have no physical extent in the mesh model and are
-// dropped. A one-axis (p=1) macro keeps PR 4's pure per-line
-// scheduling; multi-axis (p ≥ 2) macros go per-plane — but if every
-// axis projects away, nothing pins the macro to a sub-grid and it is
-// scheduled machine-spanning (nil), as before.
-func physMacroDims(vdims []int) []int {
-	var dims []int
-	for _, d := range vdims {
-		if d == 0 || d == 1 {
-			dims = append(dims, d)
-		}
-	}
-	return dims
-}
-
-func meshPlanTime(ctx context.Context, sc *scenarios.Scenario, pl planInfo, cache *Cache, pricer *compiled.Pricer, acc *selAcc) (float64, []collective.Choice) {
-	m := machine.DefaultMesh(sc.Machine.P, sc.Machine.Q)
-	n, eb := sc.N, sc.ElemBytes
-	force := sc.Machine.Algo
-	switch pl.class {
-	case core.MacroComm:
-		pattern := collective.Broadcast
-		if pl.macroReduction {
-			pattern = collective.Reduction
-		}
-		bytes := eb * int64(n)
-		dims := physMacroDims(pl.macroDims)
+func selector(ctx context.Context, cache *Cache, acc *selAcc, spec scenarios.MachineSpec) compiled.Selector {
+	return func(p collective.Pattern, dims []int, bytes int64, sel func() collective.Choice) collective.Choice {
+		t0 := time.Now()
+		_, sp := trace.StartSpan(ctx, "collective.select")
+		memo := "off"
 		var ch collective.Choice
-		switch {
-		case len(pl.macroDims) == 1 && len(dims) == 1:
-			// p=1 axis macro: concurrent per-line trees along its axis.
-			// The memo is keyed by the virtual axes, which determine the
-			// scheduling mode (a p=1 axis-0 macro and a p≥2 {0,2} macro
-			// both project to physical axis 0 but select differently).
-			ch = macroChoice(ctx, cache, acc, sc.Machine, pattern, pl.macroDims, bytes, func() collective.Choice {
-				return pricer.SelectMeshDim(m, pattern, dims[0], bytes, force)
-			})
-		case len(pl.macroDims) >= 2 && len(dims) >= 1:
-			// p≥2 macro: per-plane (or per-line, if only one axis is
-			// physical) scheduling competing with the machine-spanning
-			// execution.
-			ch = macroChoice(ctx, cache, acc, sc.Machine, pattern, pl.macroDims, bytes, func() collective.Choice {
-				return pricer.SelectMeshMacro(m, pattern, dims, bytes, force)
-			})
-		default:
-			ch = macroChoice(ctx, cache, acc, sc.Machine, pattern, nil, bytes, func() collective.Choice {
-				return pricer.SelectMesh(m, pattern, bytes, force)
-			})
-		}
-		return ch.Cost, []collective.Choice{ch}
-	case core.Decomposed:
-		if len(pl.factors) > 0 && is2x2(pl.factors[0]) {
-			// Successive phases, right to left as in the matrix
-			// product; each phase's aggregated pattern runs under the
-			// cheapest permute execution.
-			total := 0.0
-			var choices []collective.Choice
-			for idx := len(pl.factors) - 1; idx >= 0; idx-- {
-				msgs := machine.AffineComm2D(m, sc.Dist, pl.factors[idx], nil, n, n, eb)
-				ch := collective.SelectPermute(m, msgs, force)
-				total += ch.Cost
-				choices = append(choices, ch)
+		if cache == nil {
+			ch = sel()
+		} else {
+			key := selKey(spec, p, dims, bytes)
+			if v, ok := cache.lookup(key); ok {
+				cache.selectHits.Add(1)
+				memo = "hit"
+				ch = v.(collective.Choice)
+			} else {
+				cache.selectMisses.Add(1)
+				memo = "miss"
+				ch = sel()
+				cache.store(key, ch)
 			}
-			return total, choices
 		}
-		// pure translation (T = Id), or factors outside the 2-D
-		// simulator: unit-shift phases
-		k := len(pl.factors)
-		if k == 0 {
-			k = 1
-		}
-		shift := machine.AffineComm2D(m, sc.Dist, intmat.Identity(2), []int64{1, 1}, n, n, eb)
-		ch := collective.SelectPermute(m, shift, force)
-		choices := make([]collective.Choice, k)
-		for i := range choices {
-			choices[i] = ch
-		}
-		return float64(k) * ch.Cost, choices
-	default: // General
-		t := pl.dataflow
-		if t == nil || !is2x2(t) {
-			t = standInGeneral
-		}
-		return m.Time(machine.GeneralComm2D(m, sc.Dist, t, nil, n, n, eb)), nil
+		acc.observe(time.Since(t0), memo == "hit")
+		sp.Set("memo", memo).Set("pattern", fmt.Sprint(p)).Set("choice", ch.String()).End()
+		return ch
 	}
 }
-
-func is2x2(m *intmat.Mat) bool { return m != nil && m.Rows() == 2 && m.Cols() == 2 }

@@ -431,19 +431,9 @@ func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 	}
 	costStart := time.Now()
 	acc := &selAcc{}
-	counts := map[string]int{}
-	for _, pl := range ent.plans {
-		out.Classes[pl.class]++
-		if pl.vectorizable {
-			out.Vectorizable++
-		}
-		t, choices := planTime(ctx, sc, pl, s.cache, s.pricer, acc)
-		out.ModelTime += t
-		for _, ch := range choices {
-			counts[ch.String()]++
-		}
-	}
-	out.Collectives = formatCollectives(counts)
+	sel := selector(ctx, s.cache, acc, sc.Machine)
+	pt := compiled.EvalPlans(ent.plans, s.pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, sel)
+	out.Classes, out.ModelTime, out.Vectorizable, out.Collectives = pt.Classes, pt.ModelTime, pt.Vectorizable, pt.Collectives
 	ph.SelectUs = float64(acc.ns) / 1e3
 	ph.SelectHits, ph.SelectMisses = acc.hits, acc.misses
 	ph.CostUs = usSince(costStart)
@@ -454,30 +444,6 @@ func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 	}
 	sp.End()
 	return out
-}
-
-// formatCollectives renders selector choices deterministically:
-// sorted "pattern=algorithm" terms, "*n" multiplicities past one.
-func formatCollectives(counts map[string]int) string {
-	if len(counts) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		if counts[k] > 1 {
-			fmt.Fprintf(&b, "*%d", counts[k])
-		}
-	}
-	return b.String()
 }
 
 // collectiveTotals re-aggregates the per-scenario Collectives

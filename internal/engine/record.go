@@ -5,9 +5,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/intmat"
-	"repro/internal/macro"
 	"repro/internal/scenarios"
 	"repro/internal/trace"
 )
@@ -66,25 +66,11 @@ type KernelStore interface {
 	PutKernel(key string, rec intmat.KernelRec)
 }
 
-// planInfo is the runtime form of one plan inside a planEntry: the
-// cost-relevant projection of core.Plan, whatever tier it came from.
-type planInfo struct {
-	class          core.Class
-	vectorizable   bool
-	macroReduction bool
-	// macroDims: the virtual grid axes of a partial axis-parallel
-	// macro-communication (nil means total, hidden or non-axis — a
-	// machine-spanning collective).
-	macroDims []int
-	factors   []*intmat.Mat
-	dataflow  *intmat.Mat
-}
-
 // planEntry is the plan-tier cache value: the cost-relevant plan
 // summaries (or the optimization error) for one distinct optimization
 // problem. Entries are shared read-only across scenarios and workers.
 type planEntry struct {
-	plans []planInfo
+	plans []compiled.PlanShape
 	err   string
 	// Compute-cost attribution, carried with the entry across the
 	// cache tiers: the wall-clock of the heuristic run that produced
@@ -127,40 +113,9 @@ func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) plan
 		return ent
 	}
 	ent.alignUs = float64(res.Timing.Align) / 1e3
-	ent.plans = make([]planInfo, 0, len(res.Plans))
-	for _, pl := range res.Plans {
-		ent.plans = append(ent.plans, planInfo{
-			class:          pl.Class,
-			vectorizable:   pl.Vectorizable,
-			macroReduction: pl.Macro != nil && pl.Macro.Kind == macro.Reduction,
-			macroDims:      macroDims(pl.Macro),
-			factors:        pl.Factors,
-			dataflow:       pl.Dataflow,
-		})
-	}
+	ent.plans = compiled.Shapes(res.Plans)
 	sp.SetInt("plans", int64(len(ent.plans))).End()
 	return ent
-}
-
-// macroDims extracts the grid axes of a partial axis-parallel
-// macro-communication: the non-zero rows of its direction matrix, in
-// row order (sorted by construction). Total, hidden and non-axis
-// macros report nil (machine-spanning scheduling).
-func macroDims(mc *macro.Macro) []int {
-	if mc == nil || !mc.Partial() || !mc.AxisParallel() {
-		return nil
-	}
-	d := mc.Directions
-	var dims []int
-	for i := 0; i < d.Rows(); i++ {
-		for j := 0; j < d.Cols(); j++ {
-			if d.At(i, j) != 0 {
-				dims = append(dims, i)
-				break
-			}
-		}
-	}
-	return dims
 }
 
 // toRecords serializes a plan entry for the disk tier.
@@ -168,16 +123,16 @@ func toRecords(ent planEntry) ([]PlanRecord, string) {
 	recs := make([]PlanRecord, 0, len(ent.plans))
 	for _, p := range ent.plans {
 		r := PlanRecord{
-			Class:          int(p.class),
-			Vectorizable:   p.vectorizable,
-			MacroReduction: p.macroReduction,
-			MacroDims:      p.macroDims,
+			Class:          int(p.Class),
+			Vectorizable:   p.Vectorizable,
+			MacroReduction: p.MacroReduction,
+			MacroDims:      p.MacroDims,
 		}
-		for _, f := range p.factors {
+		for _, f := range p.Factors {
 			r.Factors = append(r.Factors, f.Rec())
 		}
-		if p.dataflow != nil {
-			rec := p.dataflow.Rec()
+		if p.Dataflow != nil {
+			rec := p.Dataflow.Rec()
 			r.Dataflow = &rec
 		}
 		recs = append(recs, r)
@@ -195,30 +150,30 @@ func toRecords(ent planEntry) ([]PlanRecord, string) {
 // records that do not decode to valid matrices or classes (the caller
 // treats an error as a disk miss and recomputes).
 func fromRecords(recs []PlanRecord, errMsg string) (planEntry, error) {
-	ent := planEntry{err: errMsg, plans: make([]planInfo, 0, len(recs))}
+	ent := planEntry{err: errMsg, plans: make([]compiled.PlanShape, 0, len(recs))}
 	for _, r := range recs {
 		if r.Class < int(core.Local) || r.Class > int(core.General) {
 			return planEntry{}, errBadRecord{}
 		}
-		p := planInfo{
-			class:          core.Class(r.Class),
-			vectorizable:   r.Vectorizable,
-			macroReduction: r.MacroReduction,
-			macroDims:      r.MacroDims,
+		p := compiled.PlanShape{
+			Class:          core.Class(r.Class),
+			Vectorizable:   r.Vectorizable,
+			MacroReduction: r.MacroReduction,
+			MacroDims:      r.MacroDims,
 		}
 		for _, fr := range r.Factors {
 			f, err := intmat.FromRec(fr)
 			if err != nil {
 				return planEntry{}, err
 			}
-			p.factors = append(p.factors, f)
+			p.Factors = append(p.Factors, f)
 		}
 		if r.Dataflow != nil {
 			t, err := intmat.FromRec(*r.Dataflow)
 			if err != nil {
 				return planEntry{}, err
 			}
-			p.dataflow = t
+			p.Dataflow = t
 		}
 		ent.plans = append(ent.plans, p)
 	}

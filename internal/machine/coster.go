@@ -1,19 +1,21 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// CostEval is a reusable contention-cost evaluator for one mesh. It
-// computes exactly what Mesh2D.Time computes — the same greedy
-// round packing in the same order, the same float accumulation — but
-// keeps its working state (per-round link-occupancy bitmaps, path
-// scratch) allocated across calls, so pricing thousands of candidate
-// schedules costs zero steady-state allocations instead of one
-// map[linkID]bool per round per call.
+// CostEval is the mesh contention simulator: the greedy first-fit
+// packing of a pattern into conflict-free rounds that Mesh2D.Time
+// prices (Time is a thin wrapper over a pooled CostEval). It keeps
+// its working state (per-round link-occupancy bitmaps, path scratch)
+// allocated across calls, so pricing thousands of candidate schedules
+// costs zero steady-state allocations.
 //
 // It additionally exposes the packing itself (Assign): the partition
 // of a pattern into contention rounds depends only on message paths,
-// never on payload sizes, which is what lets a compiled schedule
-// template precompute its contention structure once and re-price it
+// never on payload sizes, which is what lets a compiled template
+// precompute a pattern's contention structure once and re-price it
 // for any byte size with pure arithmetic (see internal/collective's
 // template layer).
 //
@@ -30,7 +32,11 @@ type CostEval struct {
 	path    []int32
 }
 
-// costRound mirrors Mesh2D.Time's per-round state with a flat bitmap
+// evalPool holds the evaluators Mesh2D.Time borrows; bind adapts a
+// pooled one to the caller's mesh.
+var evalPool = sync.Pool{New: func() any { return new(CostEval) }}
+
+// costRound is one contention round: a flat link-occupancy bitmap
 // plus a dirty list for O(links touched) clearing between calls.
 type costRound struct {
 	used     []bool
@@ -47,7 +53,30 @@ func NewCostEval(m *Mesh2D) *CostEval {
 	return &CostEval{m: m, nlinks: m.P * m.Q * 4}
 }
 
-// Time prices the pattern, bit-identical to m.Time(msgs).
+// bind points the evaluator at m. A geometry change reslices the
+// round bitmaps, which reset leaves all-false over their whole
+// capacity, and reallocates only those too small for the new mesh.
+func (e *CostEval) bind(m *Mesh2D) {
+	e.reset()
+	e.m = m
+	n := m.P * m.Q * 4
+	if n == e.nlinks {
+		return
+	}
+	e.nlinks = n
+	for i := range e.rounds {
+		r := &e.rounds[i]
+		if cap(r.used) >= n {
+			r.used = r.used[:n]
+		} else {
+			r.used = make([]bool, n)
+		}
+	}
+}
+
+// Time prices the pattern: one startup plus the largest message's
+// transfer time plus the longest path's latency per contention round,
+// summed in packing order.
 func (e *CostEval) Time(msgs []Message) float64 {
 	nr := e.Assign(msgs, nil)
 	total := 0.0
@@ -64,7 +93,7 @@ func (e *CostEval) Time(msgs []Message) float64 {
 // (Src == Dst) messages. The packing reads only message endpoints —
 // payload sizes never influence placement — so an Assign over a
 // schedule's structure is valid for every byte size. Per-round
-// aggregates from the packing remain readable via RoundHops until the
+// aggregates from the packing remain readable via Round until the
 // next Time/Assign call.
 func (e *CostEval) Assign(msgs []Message, assign []int) int {
 	e.reset()
@@ -116,9 +145,11 @@ func (e *CostEval) Assign(msgs []Message, assign []int) int {
 	return nr
 }
 
-// RoundHops returns the longest path (in hops) of contention round i
-// of the last Time/Assign call.
-func (e *CostEval) RoundHops(i int) int { return e.rounds[i].maxHops }
+// Round returns the largest message (in bytes) and the longest path
+// (in hops) of contention round i of the last Time/Assign call.
+func (e *CostEval) Round(i int) (maxBytes int64, maxHops int) {
+	return e.rounds[i].maxBytes, e.rounds[i].maxHops
+}
 
 // reset clears the previous call's round state, touching only the
 // links it actually occupied.
@@ -153,9 +184,8 @@ func (r *costRound) occupy(path []int32) {
 	}
 }
 
-// walk fills e.path with the directed-link indices of the XY route —
-// the flat-index twin of Mesh2D.walkXY, emitting links in the same
-// order.
+// walk fills e.path with the directed-link indices of the XY route,
+// in Mesh2D.walkXY's order.
 func (e *CostEval) walk(src, dst int) {
 	m := e.m
 	e.path = e.path[:0]

@@ -84,56 +84,27 @@ type linkID struct {
 // Messages are greedily packed into conflict-free rounds (in
 // deterministic order); each round costs one startup plus the
 // transfer time of its largest message plus its longest path latency.
-// Messages with Src == Dst are local and cost nothing.
+// Messages with Src == Dst are local and cost nothing. The packing is
+// CostEval's; Time borrows a pooled evaluator, so a warm call
+// allocates nothing.
 func (m *Mesh2D) Time(msgs []Message) float64 {
-	type round struct {
-		used     map[linkID]bool
-		maxBytes int64
-		maxHops  int
+	e := evalPool.Get().(*CostEval)
+	e.bind(m)
+	t := e.Time(msgs)
+	evalPool.Put(e)
+	return t
+}
+
+// Rounds packs the pattern exactly as Time does and calls visit with
+// each contention round's largest message (bytes) and longest path
+// (hops), in packing order.
+func (m *Mesh2D) Rounds(msgs []Message, visit func(maxBytes int64, maxHops int)) {
+	e := evalPool.Get().(*CostEval)
+	e.bind(m)
+	for i, nr := 0, e.Assign(msgs, nil); i < nr; i++ {
+		visit(e.Round(i))
 	}
-	var rounds []*round
-	for _, msg := range msgs {
-		if msg.Src == msg.Dst {
-			continue
-		}
-		var path []linkID
-		m.walkXY(msg.Src, msg.Dst, func(l linkID) { path = append(path, l) })
-		placed := false
-		for _, r := range rounds {
-			free := true
-			for _, l := range path {
-				if r.used[l] {
-					free = false
-					break
-				}
-			}
-			if free {
-				for _, l := range path {
-					r.used[l] = true
-				}
-				if msg.Bytes > r.maxBytes {
-					r.maxBytes = msg.Bytes
-				}
-				if len(path) > r.maxHops {
-					r.maxHops = len(path)
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			r := &round{used: map[linkID]bool{}, maxBytes: msg.Bytes, maxHops: len(path)}
-			for _, l := range path {
-				r.used[l] = true
-			}
-			rounds = append(rounds, r)
-		}
-	}
-	total := 0.0
-	for _, r := range rounds {
-		total += m.Startup + float64(r.maxBytes)*m.PerByte + float64(r.maxHops)*m.HopLatency
-	}
-	return total
+	evalPool.Put(e)
 }
 
 // walkXY enumerates the links of the XY route from src to dst.

@@ -2,24 +2,33 @@
 # scripts/bench.sh — record one point of the perf trajectory.
 #
 # Runs the paper-core (root bench_test.go: Edmonds, Hermite, the full
-# pipeline, Figure 8), collective-selection and engine benchmarks with
-# -benchmem and writes BENCH_<n>.json (n = the next free index) in the
-# repo root: per-benchmark ns/op, B/op and allocs/op plus run metadata.
-# When BENCH_<n-1>.json exists in the output directory, the new file
-# also carries a delta section — per-benchmark ns/op ratios against
-# the previous record (ratio < 1 means faster now) — and the same
-# ratios are printed to stderr. CI runs this from the bench smoke so
-# the trajectory accumulates; locally, run it after a perf-sensitive
+# pipeline, Figure 8, the big sweep), collective-selection and engine
+# benchmarks with -benchmem at a pinned -benchtime and -count, and
+# writes BENCH_<n>.json (n = the next free index) in the output
+# directory: per benchmark the median ns/op over the count samples
+# with its min and max, and the median B/op and allocs/op, plus run
+# metadata (benchtime, count).
+#
+# When BENCH_<n-1>.json exists in the output directory and was
+# recorded at the same benchtime and count, the new file also carries
+# a delta section — per-benchmark ratios of median ns/op against the
+# previous record (ratio < 1 means faster now) — and the same ratios
+# are printed to stderr. A previous record taken at another benchtime
+# or count (or before count was recorded) gets no delta: its numbers
+# are not like for like. CI runs this from the bench smoke so the
+# trajectory accumulates; locally, run it after a perf-sensitive
 # change and read the delta section of the new file.
 #
 # Usage: scripts/bench.sh [output-dir]
-#   BENCHTIME=100x scripts/bench.sh   # more iterations per benchmark
+#   BENCHTIME=100x scripts/bench.sh   # another iteration count (no delta
+#                                     # against records at the default)
 
 set -eu
 
 cd "$(dirname "$0")/.."
 out_dir="${1:-.}"
-benchtime="${BENCHTIME:-1x}"
+benchtime="${BENCHTIME:-5x}"
+count=5
 pkgs=". ./internal/collective ./internal/engine"
 
 n=1
@@ -35,17 +44,32 @@ fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 # shellcheck disable=SC2086
-go test -run='^$' -bench=. -benchtime="$benchtime" -benchmem $pkgs | tee "$raw" >&2
+go test -run='^$' -bench=. -benchtime="$benchtime" -count="$count" -benchmem $pkgs | tee "$raw" >&2
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" \
-    -v benchtime="$benchtime" -v prev="$prev" -v prevname="${prev##*/}" '
+    -v benchtime="$benchtime" -v count="$count" -v prev="$prev" -v prevname="${prev##*/}" '
+  # median/min/max of the space-separated samples in s.
+  function stats(s,    v, k, i, j, t) {
+    k = split(s, v, " ")
+    for (i = 2; i <= k; i++) {
+      t = v[i]
+      for (j = i - 1; j >= 1 && v[j] + 0 > t + 0; j--) v[j + 1] = v[j]
+      v[j + 1] = t
+    }
+    st_min = v[1]; st_max = v[k]
+    st_med = (k % 2) ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2
+  }
   BEGIN {
-    count = 0
-    # Pre-load the previous record. This script writes one benchmark
-    # object per line, so a per-line field match is enough to recover
-    # the name -> ns/op mapping without a JSON parser.
+    nb = 0
+    # Pre-load the previous record. This script writes one field or one
+    # benchmark object per line, so a per-line field match is enough to
+    # recover the settings and the name -> ns/op mapping without a JSON
+    # parser.
+    prev_bt = ""; prev_count = "1"
     if (prev != "") {
       while ((getline pl < prev) > 0) {
+        if (pl ~ /^  "benchtime": "/) { split(pl, f, "\""); prev_bt = f[4] }
+        if (pl ~ /^  "count": [0-9]/) { split(pl, f, /[:,] */); prev_count = f[2] + 0 }
         if (pl !~ /"name": "/ || pl !~ /"ns_per_op": [0-9]/) continue
         match(pl, /"name": "[^"]+"/)
         nm = substr(pl, RSTART + 9, RLENGTH - 10)
@@ -62,41 +86,59 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" \
     # machines and against older records.
     name = $1
     sub(/-[0-9]+$/, "", name)
-    ns = "null"; bytes = "null"; allocs = "null"
-    for (i = 3; i < NF; i++) {
-      if ($(i + 1) == "ns/op") ns = $i
-      if ($(i + 1) == "B/op") bytes = $i
-      if ($(i + 1) == "allocs/op") allocs = $i
+    if (!(name in pkgof)) {
+      order[nb++] = name
+      pkgof[name] = pkg
+      iters[name] = $2
     }
-    line = sprintf("    {\"name\": \"%s\", \"package\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-                   name, pkg, $2, ns, bytes, allocs)
-    lines = lines (lines == "" ? "" : ",\n") line
-    names[count] = name
-    nsv[count] = ns
-    count++
+    for (i = 3; i < NF; i++) {
+      if ($(i + 1) == "ns/op") ns[name] = ns[name] " " $i
+      if ($(i + 1) == "B/op") bytes[name] = bytes[name] " " $i
+      if ($(i + 1) == "allocs/op") allocs[name] = allocs[name] " " $i
+    }
   }
   END {
-    if (count == 0) {
+    if (nb == 0) {
       print "bench.sh: no benchmark lines parsed" > "/dev/stderr"
       exit 1
     }
+    lines = ""
+    for (b = 0; b < nb; b++) {
+      name = order[b]
+      med = "null"; lo = "null"; hi = "null"; samples = 0
+      if (name in ns) {
+        samples = split(ns[name], tmp, " ")
+        stats(ns[name]); med = st_med; lo = st_min; hi = st_max
+      }
+      bm = "null"; am = "null"
+      if (name in bytes) { stats(bytes[name]); bm = st_med }
+      if (name in allocs) { stats(allocs[name]); am = st_med }
+      nsv[name] = med
+      line = sprintf("    {\"name\": \"%s\", \"package\": \"%s\", \"iterations\": %s, \"samples\": %d, \"ns_per_op\": %s, \"ns_min\": %s, \"ns_max\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
+                     name, pkgof[name], iters[name], samples, med, lo, hi, bm, am)
+      lines = lines (lines == "" ? "" : ",\n") line
+    }
     delta = ""
-    if (prev != "") {
+    if (prev != "" && (prev_bt != benchtime || prev_count != count)) {
+      printf "bench.sh: no delta: %s ran at benchtime %s count %s, this run at benchtime %s count %s\n",
+             prevname, prev_bt, prev_count, benchtime, count > "/dev/stderr"
+    } else if (prev != "") {
       dl = ""
-      for (i = 0; i < count; i++) {
-        if (!(names[i] in prev_ns) || nsv[i] == "null") continue
-        ratio = sprintf("%.4f", nsv[i] / prev_ns[names[i]])
+      for (b = 0; b < nb; b++) {
+        name = order[b]
+        if (!(name in prev_ns) || nsv[name] == "null" || prev_ns[name] + 0 == 0) continue
+        ratio = sprintf("%.4f", nsv[name] / prev_ns[name])
         printf "bench.sh: delta %-44s %12s -> %12s ns/op  (x%s)\n",
-               names[i], prev_ns[names[i]], nsv[i], ratio > "/dev/stderr"
+               name, prev_ns[name], nsv[name], ratio > "/dev/stderr"
         dline = sprintf("    {\"name\": \"%s\", \"prev_ns_per_op\": %s, \"ns_per_op\": %s, \"ratio\": %s}",
-                        names[i], prev_ns[names[i]], nsv[i], ratio)
+                        name, prev_ns[name], nsv[name], ratio)
         dl = dl (dl == "" ? "" : ",\n") dline
       }
       if (dl != "")
         delta = sprintf(",\n  \"delta_vs\": \"%s\",\n  \"deltas\": [\n%s\n  ]", prevname, dl)
     }
-    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n%s\n  ]%s\n}\n",
-           date, gover, cpu, benchtime, lines, delta
+    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"count\": %d,\n  \"benchmarks\": [\n%s\n  ]%s\n}\n",
+           date, gover, cpu, benchtime, count, lines, delta
   }
 ' "$raw" > "$out"
 
