@@ -1,10 +1,9 @@
 // Command resoptd serves the residual-communication optimizer over
-// HTTP: the versioned /v1 API of internal/api (plus the deprecated
-// unversioned shims). One engine session backs every request, so
-// concurrent clients share the worker pool, the in-memory memo cache
-// and the optional disk store — a nest optimized once is served from
-// cache thereafter, across requests and (with -store) across
-// restarts.
+// HTTP: the versioned /v1 API of internal/api. One engine session
+// backs every request, so concurrent clients share the worker pool,
+// the in-memory memo cache and the optional disk store — a nest
+// optimized once is served from cache thereafter, across requests and
+// (with -store) across restarts.
 //
 //	resoptd                              # serve on :8080, no persistence
 //	resoptd -addr :9000 -store ./plans   # persistent plan store

@@ -9,8 +9,7 @@
 // Versioning: Version names the current wire version; servers stamp
 // every response with the VersionHeader header and serve the route
 // set under the /v1 prefix. The pre-/v1 unversioned endpoints
-// (POST /optimize, POST /batch, GET /stats) remain as deprecated
-// shims over the same types.
+// (POST /optimize, POST /batch, GET /stats) were removed.
 package api
 
 import (
@@ -144,8 +143,7 @@ type PhaseBreakdown struct {
 }
 
 // BatchSpec is the suite specification shared by POST /v1/batch and
-// POST /v1/jobs (and, minus the snapshot fields, the deprecated
-// POST /batch). Generation fields are deterministic: the same spec
+// POST /v1/jobs. Generation fields are deterministic: the same spec
 // always resolves to the same suite, which is what lets the server
 // cache resolved suites and re-run recorded ones.
 type BatchSpec struct {
@@ -401,8 +399,7 @@ type SuiteCacheStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// RequestStats counts requests per endpoint family, including the
-// deprecated unversioned shims.
+// RequestStats counts requests per endpoint family.
 type RequestStats struct {
 	Optimize    uint64 `json:"optimize"`
 	Batch       uint64 `json:"batch"`

@@ -28,8 +28,8 @@ func TestErrorEnvelopeRoundTrip(t *testing.T) {
 }
 
 // TestBatchSpecWireCompat: the spec's generation fields keep the
-// legacy /batch JSON names, so the deprecated shim decodes into the
-// same type.
+// pre-/v1 /batch JSON names, so specs written for that endpoint still
+// decode into the same type.
 func TestBatchSpecWireCompat(t *testing.T) {
 	legacy := []byte(`{"seed":3,"random":7,"deep":2,"skew":true,"no_examples":true,"m":3,"no_macro":true,"no_decomposition":true}`)
 	var spec BatchSpec

@@ -6,9 +6,11 @@ import (
 	"repro/internal/machine"
 )
 
-// BenchmarkCollectiveSelect measures the selector hot path the engine
-// hits once per macro-communication: build and price every algorithm
-// on a square mesh and pick the cheapest.
+// BenchmarkCollectiveSelect measures the one-shot cold selection with
+// no template cache (the engine's no-cache mode): compile every
+// algorithm's template for a total broadcast on a square mesh and
+// evaluate it once. Cached sessions compile once per structure and
+// pay only MeshTemplate.Eval afterwards.
 func BenchmarkCollectiveSelect(b *testing.B) {
 	m := machine.DefaultMesh(16, 16)
 	var ch Choice
@@ -18,8 +20,8 @@ func BenchmarkCollectiveSelect(b *testing.B) {
 	b.ReportMetric(ch.Cost, "model-µs")
 }
 
-// BenchmarkCollectiveSelectSkewed covers the tall-mesh shape where
-// the dimension-ordered tree matters.
+// BenchmarkCollectiveSelectSkewed is the same one-shot compile on the
+// tall-mesh shape where the dimension-ordered tree matters.
 func BenchmarkCollectiveSelectSkewed(b *testing.B) {
 	m := machine.DefaultMesh(64, 2)
 	var ch Choice

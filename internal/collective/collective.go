@@ -14,10 +14,17 @@
 // Θ(1) startups per processor. This package models those schedules
 // concretely:
 //
-//   - every mesh algorithm emits per-round []machine.Message
-//     schedules that are priced through Mesh2D.Time, so link
-//     contention — the serialization of messages sharing a directed
-//     mesh link — is charged exactly as for any other pattern;
+//   - every mesh algorithm emits a byte-symbolic schedule shape
+//     (shape.go), charged under Mesh2D.Time's link-contention model —
+//     the serialization of messages sharing a directed mesh link — as
+//     for any other pattern;
+//   - mesh selection is compiled: a selection's shapes and each
+//     round's contention partition freeze into a payload-independent
+//     MeshTemplate (template.go) that prices any payload by
+//     arithmetic. The cold Select* compile one and evaluate it once;
+//     compiled.Pricer caches them. Only the schedule dumps
+//     (Schedule*, MacroSchedule) materialize rounds of
+//     machine.Message and simulate them through Mesh2D.Time;
 //   - the fat tree keeps its hardware combining-network collectives
 //     as fixed-cost algorithms the selector can choose, next to
 //     software trees over the data network;
@@ -72,11 +79,11 @@ type Round []machine.Message
 
 // Schedule is a concrete message plan for a pattern: rounds of
 // machine.Message plus the priced model cost, independent of which
-// algorithm or composition built it. Everything the engine charges
-// for a collective flows through a Schedule (or, for the fixed-cost
-// fat-tree hardware algorithms, a Choice with no software rounds):
-// per-line trees, per-plane compositions and machine-spanning totals
-// are all just Schedules whose rounds were assembled differently.
+// algorithm or composition built it. Per-line trees, per-plane
+// compositions and machine-spanning totals are all just Schedules
+// whose rounds were assembled differently. Schedules exist for
+// round-by-round dumps; selection reports a Choice, whose cost equals
+// the Schedule's bit for bit.
 type Schedule struct {
 	Algorithm string
 	Pattern   Pattern

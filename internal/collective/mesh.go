@@ -40,15 +40,18 @@ var meshAlgos = []meshAlgo{
 	{"flat", false, shapeFlat},
 }
 
-// build materializes the algorithm's cheapest applicable schedule
-// variant at the payload (broadcast orientation).
+// build materializes the algorithm's schedule at the payload
+// (broadcast orientation): the chain segmentation is picked through
+// the compiled broadcast template, as selection picks it, and only the
+// winning shape variant is instantiated.
 func (a meshAlgo) build(m *machine.Mesh2D, ls [][]int, bytes int64) []Round {
-	e := newEvaluator(m)
-	v := e.pickVariant(a.shape(m, ls), bytes)
-	if v == nil {
+	vs := a.shape(m, ls)
+	at := newEvaluator(m).compileAlgo(a.name, vs, Broadcast)
+	i := at.pick(m, bytes)
+	if i < 0 {
 		return nil
 	}
-	return instantiate(v.rounds, bytes)
+	return instantiate(vs[i].rounds, bytes)
 }
 
 // MeshAlgorithms lists the mesh broadcast/reduction algorithm names
@@ -144,61 +147,20 @@ func scheduleLines(m *machine.Mesh2D, p Pattern, ls [][]int, bytes int64, algo, 
 // pins the selection to one named algorithm; a force that names no
 // applicable mesh algorithm (or "") selects freely. Selection is
 // deterministic: equal costs resolve to the earlier registry entry.
+// Like every Select*, it compiles the selection's template and
+// evaluates it once.
 func SelectMesh(m *machine.Mesh2D, p Pattern, root int, bytes int64, force string) Choice {
-	return selectLines(m, p, totalLine(m, root), bytes, force, "")
+	ch, _, _ := buildLineTemplate(newEvaluator(m), m, p, totalLine(m, root), force, "").evalWinner(m, bytes)
+	return ch
 }
 
 // SelectMeshDim selects for a partial collective along mesh dimension
 // dim: every line runs its tree concurrently, and the lines' shape —
 // their length and how their hops map onto the grid — is what the
-// algorithms compete on.
+// algorithms compete on. Out-of-range dims select the total
+// collective rooted at rank 0.
 func SelectMeshDim(m *machine.Mesh2D, p Pattern, dim int, bytes int64, force string) Choice {
-	if dim != 0 && dim != 1 {
-		return SelectMesh(m, p, 0, bytes, force)
-	}
-	return selectLines(m, p, dimLines(m, dim), bytes, force, axisScope(dim))
-}
-
-// selectLines builds every applicable algorithm's schedule for the
-// line set and returns the cheapest as a Choice; scope "" admits the
-// total-only algorithms.
-func selectLines(m *machine.Mesh2D, p Pattern, ls [][]int, bytes int64, force, scope string) Choice {
-	ch, _ := newEvaluator(m).selectShapes(m, p, ls, bytes, force, scope)
-	return ch
-}
-
-// selectShapes is selectLines over a shared evaluator: every
-// candidate prices through the same contention scratch and message
-// buffer, and the winner's symbolic rounds come back alongside the
-// Choice so compositions (SelectMeshPlanes) can re-price them without
-// rebuilding. scope "" admits the total-only algorithms.
-func (e *evaluator) selectShapes(m *machine.Mesh2D, p Pattern, ls [][]int, bytes int64, force, scope string) (Choice, []shapeRound) {
-	best := Choice{Pattern: p, Cost: -1}
-	var bestShapes []shapeRound
-	for _, a := range meshAlgos {
-		if force != "" && a.name != force {
-			continue
-		}
-		if a.totalOnly && scope != "" {
-			continue
-		}
-		v := e.pickVariant(a.shape(m, ls), bytes)
-		if v == nil {
-			continue
-		}
-		cost := e.price(v.rounds, p, bytes)
-		if best.Cost < 0 || cost < best.Cost {
-			best = Choice{Pattern: p, Algorithm: a.name, Scope: scope, Cost: cost, Rounds: len(v.rounds)}
-			bestShapes = v.rounds
-		}
-	}
-	if best.Cost < 0 {
-		// force named an algorithm that cannot run here (a permute or
-		// fat-tree name, or a total-only tree on a partial collective):
-		// fall back to free selection.
-		return e.selectShapes(m, p, ls, bytes, "", scope)
-	}
-	return best, bestShapes
+	return NewTemplateBuilder(m).Dim(p, dim, force).Eval(m, bytes)
 }
 
 // reverseRounds mirrors a broadcast schedule into a reduction: rounds

@@ -161,43 +161,18 @@ func buildLineRounds(m *machine.Mesh2D, ls [][]int, bytes int64, algo string) ([
 // separable and each phase is selected independently — the result is
 // the exact minimum over every (order, algo1, algo2) combination.
 // force pins both phases to one named line algorithm (non-applicable
-// names select freely, as in SelectMesh).
+// names select freely, as in SelectMesh). An empty or ill-fitting
+// plane set selects nothing: the Choice has Cost -1.
 func SelectMeshPlanes(m *machine.Mesh2D, p Pattern, planes []Plane, bytes int64, force string) Choice {
-	return selectPlanes(newEvaluator(m), m, p, planes, bytes, force)
-}
-
-// selectPlanes is SelectMeshPlanes over a shared evaluator: the phase
-// selections and the composed pricing all reuse one contention
-// scratch. The composed schedule is priced as one round sequence over
-// the winners' symbolic rounds, so the reported cost is bit-exact
-// what MacroSchedule reprices.
-func selectPlanes(e *evaluator, m *machine.Mesh2D, p Pattern, planes []Plane, bytes int64, force string) Choice {
-	best := Choice{Pattern: p, Cost: -1}
 	if len(planes) == 0 {
-		return best
+		return Choice{Pattern: p, Cost: -1}
 	}
 	for _, pl := range planes {
 		if !pl.valid(m) {
-			return best
+			return Choice{Pattern: p, Cost: -1}
 		}
 	}
-	for _, dimFirst := range []int{0, 1} {
-		scope := planeScope(dimFirst)
-		ls1, ls2 := planePhaseLines(m, planes, dimFirst)
-		// selectShapes prices each candidate under the requested pattern
-		// (reductions are priced on their mirrored rounds), and phase
-		// costs add, so the per-phase winners compose the cheapest plane
-		// schedule for this dimension order.
-		ch1, s1 := e.selectShapes(m, p, ls1, bytes, force, scope)
-		ch2, s2 := e.selectShapes(m, p, ls2, bytes, force, scope)
-		cost := e.priceSeq([][]shapeRound{s1, s2}, p, bytes)
-		cand := Choice{Pattern: p, Algorithm: planeAlgoName(ch1.Algorithm, ch2.Algorithm),
-			Scope: scope, Cost: cost, Rounds: ch1.Rounds + ch2.Rounds}
-		if best.Cost < 0 || cand.Cost < best.Cost {
-			best = cand
-		}
-	}
-	return best
+	return buildPlanesTemplate(newEvaluator(m), m, p, planes, force).eval(m, bytes)
 }
 
 // SelectMeshMacro prices a macro-communication that spans the given
@@ -214,24 +189,7 @@ func selectPlanes(e *evaluator, m *machine.Mesh2D, p Pattern, planes []Plane, by
 // never prices above its old total-collective cost; ties prefer the
 // per-line/per-plane schedule. Selection is deterministic.
 func SelectMeshMacro(m *machine.Mesh2D, p Pattern, dims []int, bytes int64, force string) Choice {
-	e := newEvaluator(m)
-	total, _ := e.selectShapes(m, p, totalLine(m, 0), bytes, force, "")
-	var part Choice
-	switch len(dims) {
-	case 0:
-		return total
-	case 1:
-		if dims[0] != 0 && dims[0] != 1 {
-			return total
-		}
-		part, _ = e.selectShapes(m, p, dimLines(m, dims[0]), bytes, force, axisScope(dims[0]))
-	default:
-		part = selectPlanes(e, m, p, []Plane{FullPlane(m)}, bytes, force)
-	}
-	if part.Cost <= total.Cost {
-		return part
-	}
-	return total
+	return NewTemplateBuilder(m).Macro(p, dims, force).Eval(m, bytes)
 }
 
 // MacroSchedule rebuilds the concrete schedule behind a SelectMeshMacro

@@ -6,12 +6,12 @@ import "repro/internal/machine"
 // round carries depends only on the line structure, and every
 // message's payload is an integer-arithmetic function of the total
 // payload B — the whole payload (coef 1, div 1), a pipeline segment
-// (ceil(B/s)), or a scatter chunk multiple (sub·ceil(B/n)). Emitting
-// that symbolic shape once and instantiating or pricing it per
-// concrete payload is what the selection fast path and the compiled
-// template tier are built on: shape construction happens once per
-// (algorithm, line set), pricing is arithmetic per (payload, link
-// costs).
+// (ceil(B/s)), or a scatter chunk multiple (sub·ceil(B/n)). The shape
+// is emitted once per (algorithm, line set) and compiled into a
+// template (template.go), which prices any payload by arithmetic;
+// that is how every selection is made. Only the schedule dumps
+// (Schedule*, MacroSchedule) instantiate a shape into concrete
+// messages.
 
 // shapeMsg is one byte-symbolic message: at payload B it carries
 // coef * ceil(B/div) bytes.
@@ -29,7 +29,7 @@ type shapeRound []shapeMsg
 // shapeVariant is one candidate schedule of an algorithm. Most
 // algorithms emit exactly one; the pipelined chain emits one per
 // segment count, applicable when the payload reaches minBytes and
-// selected by broadcast cost at pricing time.
+// picked by broadcast cost at evaluation time (algoTemplate.pick).
 type shapeVariant struct {
 	minBytes int64
 	rounds   []shapeRound
@@ -52,106 +52,18 @@ func instantiate(shapes []shapeRound, bytes int64) []Round {
 	return rounds
 }
 
-// evaluator bundles the reusable pricing scratch for one mesh: the
-// flat-state contention evaluator plus a message buffer shared across
-// rounds and candidate schedules. One evaluator prices every
-// candidate of a selection (and, in SelectMeshPlanes, every phase of
-// every composition) without per-candidate allocation.
+// evaluator bundles the reusable compilation scratch for one mesh:
+// the flat-state contention evaluator whose byte-independent packing
+// partitions each round, plus message and round-assignment buffers
+// shared across rounds and templates.
 type evaluator struct {
-	m   *machine.Mesh2D
 	ev  *machine.CostEval
 	buf []machine.Message
-	// asg is the round-assignment scratch of template compilation
-	// (compileRound), reused across rounds and templates.
 	asg []int
 }
 
 func newEvaluator(m *machine.Mesh2D) *evaluator {
-	return &evaluator{m: m, ev: machine.NewCostEval(m)}
-}
-
-// priceRound prices one symbolic round at a payload; mirror swaps the
-// endpoints (the reduction orientation).
-func (e *evaluator) priceRound(sr shapeRound, bytes int64, mirror bool) float64 {
-	if cap(e.buf) < len(sr) {
-		e.buf = make([]machine.Message, len(sr))
-	}
-	buf := e.buf[:len(sr)]
-	for j, sm := range sr {
-		b := sm.bytes(bytes)
-		if mirror {
-			buf[j] = machine.Message{Src: sm.dst, Dst: sm.src, Bytes: b}
-		} else {
-			buf[j] = machine.Message{Src: sm.src, Dst: sm.dst, Bytes: b}
-		}
-	}
-	return e.ev.Time(buf)
-}
-
-// price prices a symbolic schedule under the pattern, bit-identical
-// to MeshCost over the materialized (and, for reductions, mirrored)
-// rounds: reductions run the rounds reversed with swapped endpoints,
-// and the per-round costs accumulate in execution order.
-func (e *evaluator) price(shapes []shapeRound, p Pattern, bytes int64) float64 {
-	total := 0.0
-	if p == Reduction {
-		for i := len(shapes) - 1; i >= 0; i-- {
-			total += e.priceRound(shapes[i], bytes, true)
-		}
-		return total
-	}
-	for _, sr := range shapes {
-		total += e.priceRound(sr, bytes, false)
-	}
-	return total
-}
-
-// priceSeq prices the concatenation of symbolic schedules executed
-// back to back (the two-phase plane composition) under the pattern.
-// For reductions the whole concatenation mirrors:
-// reverse(b1 ++ b2) = reverse(b2) ++ reverse(b1).
-func (e *evaluator) priceSeq(seqs [][]shapeRound, p Pattern, bytes int64) float64 {
-	total := 0.0
-	if p == Reduction {
-		for si := len(seqs) - 1; si >= 0; si-- {
-			for i := len(seqs[si]) - 1; i >= 0; i-- {
-				total += e.priceRound(seqs[si][i], bytes, true)
-			}
-		}
-		return total
-	}
-	for _, shapes := range seqs {
-		for _, sr := range shapes {
-			total += e.priceRound(sr, bytes, false)
-		}
-	}
-	return total
-}
-
-// pickVariant selects an algorithm's schedule for the payload: the
-// cheapest applicable variant by broadcast cost (the orientation the
-// builders have always segmented on), earlier variants winning ties.
-// Single-variant algorithms skip the pricing.
-func (e *evaluator) pickVariant(vs []shapeVariant, bytes int64) *shapeVariant {
-	switch len(vs) {
-	case 0:
-		return nil
-	case 1:
-		return &vs[0]
-	}
-	var best *shapeVariant
-	bestCost := -1.0
-	for i := range vs {
-		v := &vs[i]
-		if v.minBytes > 0 && bytes < v.minBytes {
-			continue // segments below one byte: not applicable
-		}
-		cost := e.price(v.rounds, Broadcast, bytes)
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = v, cost
-		}
-	}
-	return best
+	return &evaluator{ev: machine.NewCostEval(m)}
 }
 
 // ---- shape emitters, one per mesh algorithm ----
@@ -295,7 +207,8 @@ func shapeChainSeg(ls [][]int, s int) []shapeRound {
 	n := maxLineLen(ls)
 	var rounds []shapeRound
 	for t := 0; t < n-1+s-1; t++ {
-		var r shapeRound
+		// Each line carries at most one message per in-flight segment.
+		r := make(shapeRound, 0, len(ls)*min(s, n-1))
 		for _, line := range ls {
 			for i := 1; i < len(line); i++ {
 				j := t - (i - 1)
@@ -349,7 +262,7 @@ func shapeScatterAllgather(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 		}
 	}
 	for t := 0; t < n-1; t++ {
-		r := make(shapeRound, 0, len(ls))
+		r := make(shapeRound, 0, len(ls)*n)
 		for _, line := range ls {
 			for i := range line {
 				r = append(r, shapeMsg{src: line[i], dst: line[(i+1)%len(line)], coef: 1, div: div})

@@ -6,17 +6,19 @@ import (
 	"repro/internal/machine"
 )
 
-// The template layer is the compiled form of mesh collective
-// selection: everything byte-independent — line sets, candidate
-// schedule shapes, and each round's contention partition (which
-// messages serialize into which conflict round, a function of message
-// paths only) — is computed once per (mesh geometry, pattern, dims,
-// force) and frozen into a MeshTemplate. Evaluating the template at a
-// payload is then pure arithmetic over the frozen structure: per
-// contention group, the payload-dependent message sizes reduce to a
-// handful of coef·ceil(B/div) terms whose max is the group's
-// serialized transfer size. Eval allocates nothing and returns
-// bit-identical Choices to the Select* functions it compiles.
+// The template layer is how mesh collectives are selected: everything
+// byte-independent — line sets, candidate schedule shapes, and each
+// round's contention partition (which messages serialize into which
+// conflict round, a function of message paths only) — is computed once
+// per (mesh geometry, pattern, dims, force) and frozen into a
+// template. Evaluating the template at a payload is then pure
+// arithmetic over the frozen structure: per contention group, the
+// payload-dependent message sizes reduce to a handful of coef·ceil(B/div)
+// terms whose max is the group's serialized transfer size, priced
+// bit-identically to Mesh2D.Time over the materialized rounds. The
+// cold Select* functions compile a template and evaluate it once;
+// compiled.Pricer caches templates across calls. Eval allocates
+// nothing.
 
 // byteTerm is one symbolic message-size term of a contention group:
 // coef · ceil(B/div) bytes at payload B.
@@ -121,8 +123,13 @@ func (e *evaluator) compileRound(sr shapeRound, mirror bool) pricedRound {
 	assign := e.asg[:len(sr)]
 	nr := e.ev.Assign(buf, assign)
 	groups := make([]contGroup, nr)
+	// One backing array gives every group room for one size term, the
+	// common case (a round's messages mostly share one div); a group
+	// needing more reallocates on append.
+	terms := make([]byteTerm, nr)
 	for i := range groups {
 		_, groups[i].maxHops = e.ev.Round(i)
+		groups[i].terms = terms[i : i : i+1]
 	}
 	for j, sm := range sr {
 		if assign[j] >= 0 {
@@ -151,19 +158,19 @@ type algoTemplate struct {
 	variants []variantTemplate
 }
 
-// pick selects the variant for the payload, mirroring
-// evaluator.pickVariant: cheapest applicable by broadcast cost,
-// earlier variants winning ties.
-func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) *variantTemplate {
+// pick returns the index of the variant for the payload: the
+// cheapest applicable by broadcast cost (the orientation the chain has
+// always segmented on), earlier variants winning ties; -1 when none
+// applies. A single variant is taken without pricing.
+func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) int {
 	if len(a.variants) == 1 {
-		return &a.variants[0]
+		return 0
 	}
-	var best *variantTemplate
-	bestCost := -1.0
+	best, bestCost := -1, -1.0
 	for i := range a.variants {
 		v := &a.variants[i]
 		if v.minBytes > 0 && bytes < v.minBytes {
-			continue
+			continue // segments below one byte: not applicable
 		}
 		seq := v.bcast
 		if seq == nil {
@@ -171,16 +178,36 @@ func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) *variantTemplate {
 		}
 		cost := foldRounds(seq, m, bytes, 0)
 		if bestCost < 0 || cost < bestCost {
-			best, bestCost = v, cost
+			best, bestCost = i, cost
 		}
 	}
 	return best
 }
 
-// lineTemplate is the compiled form of one selectShapes call: the
+// compileAlgo compiles one algorithm's shape variants under the
+// pattern.
+func (e *evaluator) compileAlgo(name string, vs []shapeVariant, p Pattern) algoTemplate {
+	at := algoTemplate{name: name, variants: make([]variantTemplate, 0, len(vs))}
+	for _, v := range vs {
+		vt := variantTemplate{
+			minBytes: v.minBytes,
+			nrounds:  len(v.rounds),
+			main:     e.compileSeq(v.rounds, p),
+		}
+		if len(vs) > 1 && p == Reduction {
+			vt.bcast = e.compileSeq(v.rounds, Broadcast)
+		}
+		at.variants = append(at.variants, vt)
+	}
+	return at
+}
+
+// lineTemplate is the compiled selection over one line set: the
 // applicable algorithms (force and totalOnly filters are
 // byte-independent, so they resolve at compile time, including the
-// fall-back to free selection when force names nothing applicable).
+// fall-back to free selection when force names nothing applicable:
+// a permute or fat-tree name, or a total-only tree on a partial
+// collective).
 type lineTemplate struct {
 	pattern Pattern
 	scope   string
@@ -196,20 +223,7 @@ func buildLineTemplate(e *evaluator, m *machine.Mesh2D, p Pattern, ls [][]int, f
 		if a.totalOnly && scope != "" {
 			continue
 		}
-		vs := a.shape(m, ls)
-		at := algoTemplate{name: a.name, variants: make([]variantTemplate, 0, len(vs))}
-		for _, v := range vs {
-			vt := variantTemplate{
-				minBytes: v.minBytes,
-				nrounds:  len(v.rounds),
-				main:     e.compileSeq(v.rounds, p),
-			}
-			if len(vs) > 1 && p == Reduction {
-				vt.bcast = e.compileSeq(v.rounds, Broadcast)
-			}
-			at.variants = append(at.variants, vt)
-		}
-		t.algos = append(t.algos, at)
+		t.algos = append(t.algos, e.compileAlgo(a.name, a.shape(m, ls), p))
 	}
 	if len(t.algos) == 0 {
 		return buildLineTemplate(e, m, p, ls, "", scope)
@@ -226,10 +240,11 @@ func (t *lineTemplate) evalWinner(m *machine.Mesh2D, bytes int64) (Choice, *vari
 	bestA := -1
 	for ai := range t.algos {
 		a := &t.algos[ai]
-		v := a.pick(m, bytes)
-		if v == nil {
+		vi := a.pick(m, bytes)
+		if vi < 0 {
 			continue
 		}
+		v := &a.variants[vi]
 		cost := foldRounds(v.main, m, bytes, 0)
 		if best.Cost < 0 || cost < best.Cost {
 			best = Choice{Pattern: t.pattern, Algorithm: a.name, Scope: t.scope, Cost: cost, Rounds: v.nrounds}
@@ -249,8 +264,8 @@ type planeOrderTemplate struct {
 	names          [][]string
 }
 
-// planesTemplate compiles SelectMeshPlanes: both dimension orders,
-// each phase its own line template.
+// planesTemplate is the compiled SelectMeshPlanes: both dimension
+// orders, each phase its own line template.
 type planesTemplate struct {
 	pattern Pattern
 	orders  [2]planeOrderTemplate
@@ -278,8 +293,9 @@ func buildPlanesTemplate(e *evaluator, m *machine.Mesh2D, p Pattern, planes []Pl
 	return t
 }
 
-// eval mirrors selectPlanes. The composed cost needs no re-fold of
-// the whole concatenation: MeshCost's accumulation is a left fold, so
+// eval selects the cheapest composition over both dimension orders.
+// The composed cost needs no re-fold of the whole concatenation:
+// MeshCost's accumulation is a left fold, so
 // folding the second-executed phase from the first-executed phase's
 // cost is bit-identical to pricing the concatenated rounds. For
 // broadcasts phase 1 executes first; for reductions the mirrored
@@ -309,11 +325,11 @@ func (t *planesTemplate) eval(m *machine.Mesh2D, bytes int64) Choice {
 }
 
 // MeshTemplate is a compiled mesh collective selection: the structure
-// of one SelectMesh, SelectMeshDim or SelectMeshMacro call, reusable
-// for any payload (and any link-cost calibration — the contention
-// partition depends only on the grid geometry). Eval is thread-safe
-// (the template is read-only after construction), allocation-free,
-// and returns bit-identical Choices to the Select* call it compiles.
+// of one SelectMesh (rooted at rank 0), SelectMeshDim or
+// SelectMeshMacro call, reusable for any payload (and any link-cost
+// calibration — the contention partition depends only on the grid
+// geometry). Eval is thread-safe (the template is read-only after
+// construction) and allocation-free.
 type MeshTemplate struct {
 	p, q    int
 	pattern Pattern
@@ -390,7 +406,7 @@ func (b *TemplateBuilder) Total(p Pattern, force string) *MeshTemplate {
 
 // Dim compiles SelectMeshDim(m, p, dim, ·, force): concurrent
 // per-line trees along one grid dimension (out-of-range dims fall
-// back to the total selection, as SelectMeshDim does).
+// back to the total selection rooted at rank 0).
 func (b *TemplateBuilder) Dim(p Pattern, dim int, force string) *MeshTemplate {
 	if dim != 0 && dim != 1 {
 		return b.Total(p, force)
@@ -417,25 +433,6 @@ func (b *TemplateBuilder) Macro(p Pattern, dims []int, force string) *MeshTempla
 		t.planes = b.planesTmpl(p, force)
 	}
 	return t
-}
-
-// NewMeshTotalTemplate compiles SelectMesh(m, p, 0, ·, force) through
-// a one-shot builder; compiling several templates of one geometry is
-// cheaper through a shared TemplateBuilder.
-func NewMeshTotalTemplate(m *machine.Mesh2D, p Pattern, force string) *MeshTemplate {
-	return NewTemplateBuilder(m).Total(p, force)
-}
-
-// NewMeshDimTemplate compiles SelectMeshDim(m, p, dim, ·, force)
-// through a one-shot builder.
-func NewMeshDimTemplate(m *machine.Mesh2D, p Pattern, dim int, force string) *MeshTemplate {
-	return NewTemplateBuilder(m).Dim(p, dim, force)
-}
-
-// NewMeshMacroTemplate compiles SelectMeshMacro(m, p, dims, ·, force)
-// through a one-shot builder.
-func NewMeshMacroTemplate(m *machine.Mesh2D, p Pattern, dims []int, force string) *MeshTemplate {
-	return NewTemplateBuilder(m).Macro(p, dims, force)
 }
 
 // Eval prices the compiled selection at a payload on a mesh instance

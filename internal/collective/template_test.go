@@ -15,39 +15,166 @@ var templateMeshes = [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}, {2, 16},
 // scatter-allgather territory.
 var templateBytes = []int64{1, 3, 16, 64, 1024, 65536, 1 << 20, 1 << 24}
 
+// templateForces cross free selection, pins to single- and
+// multi-variant algorithms, a total-only pin (which partial
+// collectives must ignore), and a non-mesh name (free fallback).
+var templateForces = []string{"", "flat", "chain", "dim-tree", "direct"}
+
+// The reference selector below is the oracle the compiled selection
+// is checked against. It shares only the shape emitters with the
+// template tier: every candidate is materialized (instantiate, then
+// reverseRounds for reductions) and priced by MeshCost — Mesh2D.Time
+// round by round — and the phases of a plane composition compose by
+// concatenating their rounds.
+
+// refOrient turns broadcast-orientation rounds into the pattern's
+// execution order.
+func refOrient(p Pattern, rounds []Round) []Round {
+	if p == Reduction {
+		return reverseRounds(rounds)
+	}
+	return rounds
+}
+
+// refVariant materializes an algorithm's schedule at the payload: its
+// only variant, or the cheapest applicable one by broadcast MeshCost,
+// earlier variants winning ties. ok is false when none applies.
+func refVariant(m *machine.Mesh2D, vs []shapeVariant, bytes int64) (best []Round, ok bool) {
+	if len(vs) == 1 {
+		return instantiate(vs[0].rounds, bytes), true
+	}
+	bestCost := 0.0
+	for _, v := range vs {
+		if v.minBytes > 0 && bytes < v.minBytes {
+			continue
+		}
+		r := instantiate(v.rounds, bytes)
+		if c := MeshCost(m, r); !ok || c < bestCost {
+			best, bestCost, ok = r, c, true
+		}
+	}
+	return best, ok
+}
+
+// refLines selects over one line set (scope "" admits the total-only
+// algorithms) and returns the winner's broadcast-orientation rounds
+// for composition. A force naming nothing applicable selects freely.
+func refLines(m *machine.Mesh2D, p Pattern, ls [][]int, bytes int64, force, scope string) (Choice, []Round) {
+	best := Choice{Pattern: p, Cost: -1}
+	var bestRounds []Round
+	for _, a := range meshAlgos {
+		if (force != "" && a.name != force) || (a.totalOnly && scope != "") {
+			continue
+		}
+		rounds, ok := refVariant(m, a.shape(m, ls), bytes)
+		if !ok {
+			continue
+		}
+		if cost := MeshCost(m, refOrient(p, rounds)); best.Cost < 0 || cost < best.Cost {
+			best = Choice{Pattern: p, Algorithm: a.name, Scope: scope, Cost: cost, Rounds: len(rounds)}
+			bestRounds = rounds
+		}
+	}
+	if best.Cost < 0 {
+		return refLines(m, p, ls, bytes, "", scope)
+	}
+	return best, bestRounds
+}
+
+// refPlanes selects the two-phase composition over a (valid) plane
+// set: per dimension order, each phase's winner, composed by
+// concatenation and priced as one schedule.
+func refPlanes(m *machine.Mesh2D, p Pattern, planes []Plane, bytes int64, force string) Choice {
+	best := Choice{Pattern: p, Cost: -1}
+	for _, dimFirst := range []int{0, 1} {
+		scope := planeScope(dimFirst)
+		ls1, ls2 := planePhaseLines(m, planes, dimFirst)
+		ch1, r1 := refLines(m, p, ls1, bytes, force, scope)
+		ch2, r2 := refLines(m, p, ls2, bytes, force, scope)
+		rounds := append(append([]Round{}, r1...), r2...)
+		cand := Choice{Pattern: p, Algorithm: planeAlgoName(ch1.Algorithm, ch2.Algorithm),
+			Scope: scope, Cost: MeshCost(m, refOrient(p, rounds)), Rounds: len(rounds)}
+		if best.Cost < 0 || cand.Cost < best.Cost {
+			best = cand
+		}
+	}
+	return best
+}
+
+// refMacro is the macro rule: the partial schedule wins unless the
+// machine-spanning total is strictly cheaper.
+func refMacro(total, part Choice) Choice {
+	if part.Cost <= total.Cost {
+		return part
+	}
+	return total
+}
+
 func requireSameChoice(t *testing.T, ctxt string, want, got Choice) {
 	t.Helper()
 	if want != got {
-		t.Fatalf("%s:\n  select: %+v\n  template: %+v", ctxt, want, got)
+		t.Fatalf("%s:\n  reference: %+v\n  got:       %+v", ctxt, want, got)
 	}
 }
 
-// TestMeshTemplateMatchesSelect checks that every template mode
-// returns bit-identical Choices (algorithm, scope, rounds, and cost
-// down to the last float bit) to the uncompiled Select* calls across
-// meshes, patterns, dims, payloads, and force pins.
+// TestMeshTemplateMatchesSelect checks every selection entry point —
+// the one-shot Select* calls and the templates of one shared
+// TemplateBuilder, evaluated at every payload — against the reference
+// selector, bit for bit (algorithm, scope, rounds, and cost down to
+// the last float bit), across meshes, patterns, dims, payloads and
+// force pins.
 func TestMeshTemplateMatchesSelect(t *testing.T) {
-	forces := []string{"", "flat", "chain", "dim-tree", "direct" /* not a mesh algo: fallback */}
 	for _, sh := range templateMeshes {
 		m := machine.DefaultMesh(sh[0], sh[1])
+		lastRoot := m.Procs() - 1
+		// halves splits the mesh into two planes along x, when it can.
+		var halves []Plane
+		if m.P >= 2 {
+			halves = []Plane{{X0: 0, Y0: 0, W: m.P / 2, H: m.Q}, {X0: m.P / 2, Y0: 0, W: m.P - m.P/2, H: m.Q}}
+		}
 		for _, p := range []Pattern{Broadcast, Reduction} {
-			for _, force := range forces {
-				ctxt := func(mode string, b int64) string {
-					return fmt.Sprintf("%dx%d %s force=%q %s bytes=%d", sh[0], sh[1], p, force, mode, b)
+			for _, force := range templateForces {
+				b := NewTemplateBuilder(m)
+				tmpl := map[string]*MeshTemplate{
+					"total": b.Total(p, force), "dim0": b.Dim(p, 0, force), "dim1": b.Dim(p, 1, force),
+					"dim3": b.Dim(p, 3, force), "macro[]": b.Macro(p, nil, force),
+					"macro[0]": b.Macro(p, []int{0}, force), "macro[1]": b.Macro(p, []int{1}, force),
+					"macro[2]": b.Macro(p, []int{2}, force), "macro[0 1]": b.Macro(p, []int{0, 1}, force),
 				}
-				tt := NewMeshTotalTemplate(m, p, force)
-				d0 := NewMeshDimTemplate(m, p, 0, force)
-				d1 := NewMeshDimTemplate(m, p, 1, force)
-				m1 := NewMeshMacroTemplate(m, p, []int{0}, force)
-				m2 := NewMeshMacroTemplate(m, p, []int{0, 1}, force)
-				m0 := NewMeshMacroTemplate(m, p, nil, force)
-				for _, b := range templateBytes {
-					requireSameChoice(t, ctxt("total", b), SelectMesh(m, p, 0, b, force), tt.Eval(m, b))
-					requireSameChoice(t, ctxt("dim0", b), SelectMeshDim(m, p, 0, b, force), d0.Eval(m, b))
-					requireSameChoice(t, ctxt("dim1", b), SelectMeshDim(m, p, 1, b, force), d1.Eval(m, b))
-					requireSameChoice(t, ctxt("macro[0]", b), SelectMeshMacro(m, p, []int{0}, b, force), m1.Eval(m, b))
-					requireSameChoice(t, ctxt("macro[0 1]", b), SelectMeshMacro(m, p, []int{0, 1}, b, force), m2.Eval(m, b))
-					requireSameChoice(t, ctxt("macro[]", b), SelectMeshMacro(m, p, nil, b, force), m0.Eval(m, b))
+				for _, bytes := range templateBytes {
+					ctxt := func(mode string) string {
+						return fmt.Sprintf("%dx%d %s force=%q %s bytes=%d", sh[0], sh[1], p, force, mode, bytes)
+					}
+					total, _ := refLines(m, p, totalLine(m, 0), bytes, force, "")
+					dim0, _ := refLines(m, p, dimLines(m, 0), bytes, force, axisScope(0))
+					dim1, _ := refLines(m, p, dimLines(m, 1), bytes, force, axisScope(1))
+					plane := refPlanes(m, p, []Plane{FullPlane(m)}, bytes, force)
+					want := map[string]Choice{
+						"total": total, "dim0": dim0, "dim1": dim1, "dim3": total,
+						"macro[]": total, "macro[0]": refMacro(total, dim0), "macro[1]": refMacro(total, dim1),
+						"macro[2]": total, "macro[0 1]": refMacro(total, plane),
+					}
+					requireSameChoice(t, ctxt("SelectMesh"), total, SelectMesh(m, p, 0, bytes, force))
+					rooted, _ := refLines(m, p, totalLine(m, lastRoot), bytes, force, "")
+					requireSameChoice(t, ctxt(fmt.Sprintf("SelectMesh root=%d", lastRoot)), rooted, SelectMesh(m, p, lastRoot, bytes, force))
+					for _, c := range []struct {
+						dim  int
+						want Choice
+					}{{0, dim0}, {1, dim1}, {3, total}, {-1, total}} {
+						requireSameChoice(t, ctxt(fmt.Sprintf("SelectMeshDim(%d)", c.dim)), c.want, SelectMeshDim(m, p, c.dim, bytes, force))
+					}
+					requireSameChoice(t, ctxt("SelectMeshPlanes full"), plane, SelectMeshPlanes(m, p, []Plane{FullPlane(m)}, bytes, force))
+					if halves != nil {
+						requireSameChoice(t, ctxt("SelectMeshPlanes halves"), refPlanes(m, p, halves, bytes, force),
+							SelectMeshPlanes(m, p, halves, bytes, force))
+					}
+					for _, dims := range [][]int{nil, {0}, {1}, {2}, {0, 1}} {
+						mode := fmt.Sprintf("macro%v", dims)
+						requireSameChoice(t, ctxt("SelectMeshMacro "+mode), want[mode], SelectMeshMacro(m, p, dims, bytes, force))
+					}
+					for mode, tt := range tmpl {
+						requireSameChoice(t, ctxt("template "+mode), want[mode], tt.Eval(m, bytes))
+					}
 				}
 			}
 		}
@@ -62,25 +189,38 @@ func TestMeshTemplateAllForces(t *testing.T) {
 		m := machine.DefaultMesh(sh[0], sh[1])
 		for _, force := range MeshAlgorithms() {
 			for _, p := range []Pattern{Broadcast, Reduction} {
-				tmpl := NewMeshMacroTemplate(m, p, []int{0, 1}, force)
-				dt := NewMeshDimTemplate(m, p, 1, force)
 				for _, b := range []int64{1, 64, 4096, 1 << 22} {
+					total, _ := refLines(m, p, totalLine(m, 0), b, force, "")
+					dim1, _ := refLines(m, p, dimLines(m, 1), b, force, axisScope(1))
+					macro := refMacro(total, refPlanes(m, p, []Plane{FullPlane(m)}, b, force))
 					requireSameChoice(t, fmt.Sprintf("%dx%d force=%s %s macro bytes=%d", sh[0], sh[1], force, p, b),
-						SelectMeshMacro(m, p, []int{0, 1}, b, force), tmpl.Eval(m, b))
+						macro, SelectMeshMacro(m, p, []int{0, 1}, b, force))
 					requireSameChoice(t, fmt.Sprintf("%dx%d force=%s %s dim1 bytes=%d", sh[0], sh[1], force, p, b),
-						SelectMeshDim(m, p, 1, b, force), dt.Eval(m, b))
+						dim1, SelectMeshDim(m, p, 1, b, force))
 				}
 			}
 		}
 	}
 }
 
-// TestMeshTemplateOutOfRangeDim mirrors SelectMeshDim's fallback for
-// virtual axes with no mesh extent.
+// TestMeshTemplateOutOfRangeDim: a virtual axis with no mesh extent
+// selects the total collective rooted at rank 0.
 func TestMeshTemplateOutOfRangeDim(t *testing.T) {
 	m := machine.DefaultMesh(4, 4)
-	tmpl := NewMeshDimTemplate(m, Broadcast, 3, "")
-	requireSameChoice(t, "dim3", SelectMeshDim(m, Broadcast, 3, 4096, ""), tmpl.Eval(m, 4096))
+	want, _ := refLines(m, Broadcast, totalLine(m, 0), 4096, "", "")
+	requireSameChoice(t, "template dim3", want, NewTemplateBuilder(m).Dim(Broadcast, 3, "").Eval(m, 4096))
+	requireSameChoice(t, "SelectMeshDim(3)", want, SelectMeshDim(m, Broadcast, 3, 4096, ""))
+}
+
+// TestSelectMeshPlanesInvalid: an empty plane set, or a plane that
+// does not fit the mesh, selects nothing.
+func TestSelectMeshPlanesInvalid(t *testing.T) {
+	m := machine.DefaultMesh(4, 4)
+	for _, planes := range [][]Plane{nil, {{X0: 2, Y0: 0, W: 3, H: 4}}, {FullPlane(m), {X0: 0, Y0: 0, W: 0, H: 1}}} {
+		if ch := SelectMeshPlanes(m, Reduction, planes, 64, ""); ch != (Choice{Pattern: Reduction, Cost: -1}) {
+			t.Fatalf("planes %+v: got %+v, want Cost -1", planes, ch)
+		}
+	}
 }
 
 // TestMeshTemplateEvalAllocs is the warm-evaluator alloc-regression
@@ -88,7 +228,7 @@ func TestMeshTemplateOutOfRangeDim(t *testing.T) {
 // allocating.
 func TestMeshTemplateEvalAllocs(t *testing.T) {
 	m := machine.DefaultMesh(16, 16)
-	tmpl := NewMeshMacroTemplate(m, Reduction, []int{0, 1}, "")
+	tmpl := NewTemplateBuilder(m).Macro(Reduction, []int{0, 1}, "")
 	bytesIn := templateBytes
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {

@@ -12,10 +12,14 @@ import (
 	"repro/internal/scenarios"
 )
 
-// TestPricerMatchesSelect checks that every pricer entry point is
-// bit-identical to the cold collective selection it compiles, across
-// geometries, patterns, payloads and force pins — and that the nil
-// pricer falls back cleanly.
+// TestPricerMatchesSelect is a cache-keying test: every pricer entry
+// point, served from a template cached under its key and compiled
+// through the geometry's shared builder, must equal a fresh one-shot
+// collective.Select* over the same structure. Two structures that
+// collided on one key would get each other's template and fail here.
+// Whether the selection itself is right is checked against a
+// materialize-and-simulate reference in package collective. The nil
+// pricer must fall back cleanly.
 func TestPricerMatchesSelect(t *testing.T) {
 	meshes := [][2]int{{4, 4}, {8, 8}, {16, 2}, {3, 5}, {1, 1}}
 	payloads := []int64{1, 64, 4096, 1 << 20}
@@ -175,5 +179,16 @@ func TestParseGrid(t *testing.T) {
 		if _, err := compiled.ParseGrid(bad); err == nil {
 			t.Fatalf("ParseGrid(%q) accepted", bad)
 		}
+	}
+
+	// Overflow near MaxInt64: a k/M multiplication that wraps must be
+	// rejected, and a doubling range up to MaxInt64 must stop instead of
+	// wrapping through MinInt64 and 0 forever.
+	if g, err := compiled.ParseGrid("mesh4x4:bytes=9007199254740992k"); err == nil {
+		t.Fatalf("overflowing size accepted as %v", g.Bytes)
+	}
+	g, err = compiled.ParseGrid("mesh4x4:bytes=4611686018427387904..9223372036854775807")
+	if err == nil && (len(g.Bytes) != 1 || g.Bytes[0] != 1<<62) {
+		t.Fatalf("doubling range to MaxInt64 = %v, want [%d]", g.Bytes, int64(1)<<62)
 	}
 }

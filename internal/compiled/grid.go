@@ -2,6 +2,7 @@ package compiled
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -174,10 +175,14 @@ func expandToken(tok string, parse func(string) (int64, error), add func(int64))
 		if lo > hi {
 			return fmt.Errorf("empty range %s..%s", a, b)
 		}
-		for v := lo; v <= hi; v *= 2 {
+		// Stop before doubling past hi: 2v ≤ hi exactly when v ≤ hi/2,
+		// and testing that first keeps v from wrapping near MaxInt64.
+		for v := lo; ; v *= 2 {
 			add(v)
+			if v > hi/2 {
+				return nil
+			}
 		}
-		return nil
 	}
 	for _, part := range strings.Split(tok, ",") {
 		v, err := parse(part)
@@ -211,6 +216,9 @@ func parseSize(s string) (int64, error) {
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || v < 1 {
 		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows", s)
 	}
 	return v * mult, nil
 }

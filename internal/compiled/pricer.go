@@ -20,8 +20,10 @@ import (
 //
 // Template compilation is byte-independent, so one template prices
 // every payload (and every link-cost calibration of its geometry);
-// evaluation is allocation-free and bit-identical to the cold path it
-// replaces (collective.Select*, Mesh2D.Time).
+// evaluation is allocation-free. A cached mesh template returns what
+// the one-shot collective.Select* returns (which compiles the same
+// template and evaluates it once), and a pattern template matches
+// Mesh2D.Time bit for bit.
 //
 // A Pricer is safe for concurrent use; template compilation is
 // single-flight per key. The nil *Pricer is valid and falls back to

@@ -88,9 +88,9 @@ type resolvedBatch struct {
 	timings      bool
 }
 
-// resolveBatch turns a wire spec into a runnable batch. Both the v1
-// and the legacy /batch path go through here, so identical specs hit
-// the resolved-suite cache instead of regenerating the suite per
+// resolveBatch turns a wire spec into a runnable batch. Both
+// POST /v1/batch and POST /v1/jobs go through here, so identical specs
+// hit the resolved-suite cache instead of regenerating the suite per
 // request, and snapshot-named specs re-run the recorded suite.
 func (s *Server) resolveBatch(spec api.BatchSpec) (*resolvedBatch, *api.Error) {
 	// Timings and SaveAs are per-request behavior, not suite identity:

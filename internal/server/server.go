@@ -26,9 +26,8 @@
 //	GET    /v1/cluster/stats     every fleet member's stats plus an
 //	                             aggregated rollup (standalone: just self)
 //
-// The pre-/v1 endpoints (POST /optimize, POST /batch, GET /stats)
-// remain as thin deprecated shims over the same handlers; they send
-// a Deprecation header and a Link to their successor.
+// The pre-/v1 unversioned endpoints (POST /optimize, POST /batch,
+// GET /stats) are gone and answer 404.
 //
 // Request contexts are threaded into the engine: a client that
 // disconnects (or times out) cancels its in-flight work at the next
@@ -183,14 +182,6 @@ func New(opts Options) *Server {
 	// need not care whether a target is clustered.
 	s.mux.HandleFunc("GET /v1/cluster/stats", s.handleClusterStats)
 
-	// Deprecated unversioned shims. /stats keeps its pre-/v1 body
-	// shape (Go-default CamelCase cache keys): legacy monitoring
-	// clients unmarshal those field names, and serving them
-	// snake_case would silently zero their counters.
-	s.mux.HandleFunc("POST /optimize", deprecated("/v1/optimize", s.handleOptimize))
-	s.mux.HandleFunc("POST /batch", deprecated("/v1/batch", s.handleBatch))
-	s.mux.HandleFunc("GET /stats", deprecated("/v1/stats", s.handleLegacyStats))
-
 	// Liveness on the API listener too: peers probe each other's
 	// /healthz, and a load balancer in front of a cluster needs it on
 	// the public port (the ops listener keeps its own copy).
@@ -214,16 +205,6 @@ func New(opts Options) *Server {
 		fmt.Fprint(w, "resoptd /v1: POST /v1/optimize, POST /v1/batch, POST /v1/lattice, POST|GET /v1/jobs, GET /v1/jobs/{id}[/results], GET /v1/snapshots, GET /v1/stats\n")
 	})
 	return s
-}
-
-// deprecated wraps a v1 handler as an unversioned shim: same
-// behavior, plus the deprecation headers pointing at the successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // Handler returns the HTTP handler: request tracing (outermost, so
@@ -443,30 +424,6 @@ func errNoStore() *api.Error {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsResponse())
-}
-
-// legacyStatsResponse reproduces the pre-/v1 GET /stats body: the
-// engine's CacheStats serialized with its Go field names and only the
-// request counters that endpoint had.
-type legacyStatsResponse struct {
-	Workers  int               `json:"workers"`
-	Cache    engine.CacheStats `json:"cache"`
-	Store    *store.Stats      `json:"store,omitempty"`
-	Requests struct {
-		Optimize uint64 `json:"optimize"`
-		Batch    uint64 `json:"batch"`
-	} `json:"requests"`
-}
-
-func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
-	resp := legacyStatsResponse{Workers: s.session.Workers(), Cache: s.session.CacheStats()}
-	if s.store != nil {
-		st := s.store.Stats()
-		resp.Store = &st
-	}
-	resp.Requests.Optimize = s.optimizes.Load()
-	resp.Requests.Batch = s.batches.Load()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

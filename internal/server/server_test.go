@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -268,8 +267,7 @@ func decodeStream(t *testing.T, resp *http.Response) ([]api.BatchLine, api.Batch
 	return lines, sum
 }
 
-// TestBatchLimits: oversized suite specs are rejected on both the v1
-// and the deprecated path.
+// TestBatchLimits: oversized suite specs are rejected.
 func TestBatchLimits(t *testing.T) {
 	srv := New(Options{})
 	defer srv.Close()
@@ -281,73 +279,29 @@ func TestBatchLimits(t *testing.T) {
 		"negative":  {Random: -1},
 		"overflow":  {Random: huge, Deep: huge},
 	} {
-		for _, path := range []string{"/v1/batch", "/batch"} {
-			resp, _ := postJSON(t, ts.Client(), ts.URL+path, req)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %s: status %d, want 400", name, path, resp.StatusCode)
-			}
+		resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/batch", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
 }
 
-// TestLegacyShims: the unversioned endpoints still serve the old
-// routes through the v1 handlers and announce their deprecation.
-func TestLegacyShims(t *testing.T) {
+// TestLegacyRoutesGone: the pre-/v1 unversioned endpoints were
+// removed and answer 404.
+func TestLegacyRoutesGone(t *testing.T) {
 	srv := New(Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/optimize", api.OptimizeRequest{Example: "matmul"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /optimize: status %d: %s", resp.StatusCode, body)
+	for _, path := range []string{"/optimize", "/batch"} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+path, api.OptimizeRequest{Example: "matmul"})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404: %s", path, resp.StatusCode, body)
+		}
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy /optimize missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/optimize") {
-		t.Errorf("legacy /optimize Link = %q", link)
-	}
-	var legacy api.OptimizeResponse
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	resp2, body2 := postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "matmul"})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/optimize: status %d", resp2.StatusCode)
-	}
-	var v1 api.OptimizeResponse
-	if err := json.Unmarshal(body2, &v1); err != nil {
-		t.Fatal(err)
-	}
-	// Phase timings are run-dependent wall clock; drop them before the
-	// value compare.
-	legacy.Phases, v1.Phases = nil, nil
-	if legacy != v1 {
-		t.Errorf("legacy response %+v ≠ v1 response %+v", legacy, v1)
-	}
-
-	resp3, _ := postJSON(t, ts.Client(), ts.URL+"/batch", api.BatchSpec{Random: 1, NoExamples: true})
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusOK || resp3.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy /batch: status %d, Deprecation %q", resp3.StatusCode, resp3.Header.Get("Deprecation"))
-	}
-
-	resp4, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp4.Body.Close()
-	if resp4.StatusCode != http.StatusOK || resp4.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy /stats: status %d, Deprecation %q", resp4.StatusCode, resp4.Header.Get("Deprecation"))
-	}
-	// The legacy body keeps its pre-/v1 shape: CamelCase cache keys.
-	statsBody, err := io.ReadAll(resp4.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(statsBody), `"PlanMisses"`) || strings.Contains(string(statsBody), `"plan_misses"`) {
-		t.Errorf("legacy /stats body changed shape: %s", statsBody)
+	resp, body := get(t, ts, "/stats")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats: status %d, want 404: %s", resp.StatusCode, body)
 	}
 }
 
