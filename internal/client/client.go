@@ -280,7 +280,7 @@ func (c *Client) Batch(ctx context.Context, spec api.BatchSpec, emit func(api.Ba
 		return nil, err
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxStreamLine)
 	var sum *api.BatchSummary
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -311,6 +311,11 @@ func (c *Client) Batch(ctx context.Context, spec api.BatchSpec, emit func(api.Ba
 	return sum, nil
 }
 
+// maxStreamLine bounds one NDJSON line of a batch or lattice stream.
+// The scanner's buffer starts small and grows only to the longest
+// line a stream actually carries.
+const maxStreamLine = 1 << 20
+
 // Lattice streams a capacity-planning sweep: emit (when non-nil) is
 // called once per NDJSON row, in grid order (machines as declared,
 // payloads ascending), as the server produces them; the trailing
@@ -325,7 +330,7 @@ func (c *Client) Lattice(ctx context.Context, req api.LatticeRequest, emit func(
 		return nil, err
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxStreamLine)
 	var sum *api.LatticeSummary
 	for sc.Scan() {
 		line := sc.Bytes()

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net/http"
@@ -277,5 +278,39 @@ func TestClientTraceparent(t *testing.T) {
 	}
 	if want := span.TraceID().String(); !strings.Contains(got[1], want) {
 		t.Errorf("active span's trace %s not propagated: %q", want, got[1])
+	}
+}
+
+// TestClientStreamLineBound: a stream line grows the scanner's buffer
+// as far as it needs, up to 1 MiB, and a longer line fails the stream
+// with bufio.ErrTooLong.
+func TestClientStreamLineBound(t *testing.T) {
+	var row string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(row + "\n" + `{"summary":{"name":"long","points":1}}` + "\n"))
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := func(collectives int) ([]api.LatticeRow, error) {
+		row = `{"machine":"mesh4x4","collectives":"` + strings.Repeat("x", collectives) + `"}`
+		var rows []api.LatticeRow
+		_, err := c.Lattice(context.Background(), api.LatticeRequest{}, func(r api.LatticeRow) error {
+			rows = append(rows, r)
+			return nil
+		})
+		return rows, err
+	}
+	rows, err := lattice(200 << 10)
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if len(rows) != 1 || len(rows[0].Collectives) != 200<<10 {
+		t.Fatalf("200 KiB line: decoded %d rows", len(rows))
+	}
+	if _, err := lattice(1 << 20); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 1 MiB: err %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -58,3 +58,30 @@ func BenchmarkPermuteSelect(b *testing.B) {
 	}
 	b.ReportMetric(ch.Cost, "model-µs")
 }
+
+// bigSweepMeshes are the mesh geometries of the big sweep
+// (scenarios.Generate with Skew and BigMeshes).
+var bigSweepMeshes = [][2]int{{4, 4}, {8, 8}, {2, 16}, {16, 2}, {64, 2}, {2, 64}, {16, 16}}
+
+// BenchmarkMeshTemplateCompile compiles, with a fresh TemplateBuilder
+// per mesh and op, every mesh template structure a cold session
+// builds on the big sweep's geometries: the total line, both
+// per-dimension line sets and the full-plane composition, for
+// broadcasts and reductions.
+func BenchmarkMeshTemplateCompile(b *testing.B) {
+	meshes := make([]*machine.Mesh2D, len(bigSweepMeshes))
+	for i, sh := range bigSweepMeshes {
+		meshes[i] = machine.DefaultMesh(sh[0], sh[1])
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, m := range meshes {
+			tb := NewTemplateBuilder(m)
+			for _, p := range []Pattern{Broadcast, Reduction} {
+				tb.Dim(p, 0, "")
+				tb.Dim(p, 1, "")
+				tb.Macro(p, []int{0, 1}, "")
+			}
+		}
+	}
+}

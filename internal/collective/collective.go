@@ -14,12 +14,14 @@
 // Θ(1) startups per processor. This package models those schedules
 // concretely:
 //
-//   - every mesh algorithm emits a byte-symbolic schedule shape
-//     (shape.go), charged under Mesh2D.Time's link-contention model —
-//     the serialization of messages sharing a directed mesh link — as
-//     for any other pattern;
-//   - mesh selection is compiled: a selection's shapes and each
-//     round's contention partition freeze into a payload-independent
+//   - every mesh algorithm streams a byte-symbolic schedule shape
+//     (shape.go) round by round, a repeated round once with its
+//     count, charged under Mesh2D.Time's link-contention model — the
+//     serialization of messages sharing a directed mesh link — as for
+//     any other pattern;
+//   - mesh selection is compiled: each streamed round's contention
+//     partition is packed as it arrives, repeated rounds compile
+//     once, and the result freezes into a payload-independent
 //     MeshTemplate (template.go) that prices any payload by
 //     arithmetic. The cold Select* compile one and evaluate it once;
 //     compiled.Pricer caches them. Only the schedule dumps

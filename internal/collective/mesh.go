@@ -18,9 +18,10 @@ import (
 // its 2×64 transpose.
 
 // meshAlgo is one software broadcast/reduction algorithm over the
-// mesh. shape emits its byte-symbolic candidate schedules for a line
-// set (broadcast orientation; reductions run them mirrored — reversed
-// rounds, swapped endpoints). totalOnly marks algorithms whose
+// mesh. shape returns its byte-symbolic candidate schedules for a
+// line set, each streaming its rounds on demand (broadcast
+// orientation; reductions run them mirrored — reversed rounds, swapped
+// endpoints). totalOnly marks algorithms whose
 // structure needs the full 2-D rank space and cannot run per line.
 type meshAlgo struct {
 	name      string
@@ -51,7 +52,7 @@ func (a meshAlgo) build(m *machine.Mesh2D, ls [][]int, bytes int64) []Round {
 	if i < 0 {
 		return nil
 	}
-	return instantiate(vs[i].rounds, bytes)
+	return instantiate(vs[i], bytes)
 }
 
 // MeshAlgorithms lists the mesh broadcast/reduction algorithm names

@@ -6,12 +6,16 @@ import "repro/internal/machine"
 // round carries depends only on the line structure, and every
 // message's payload is an integer-arithmetic function of the total
 // payload B — the whole payload (coef 1, div 1), a pipeline segment
-// (ceil(B/s)), or a scatter chunk multiple (sub·ceil(B/n)). The shape
-// is emitted once per (algorithm, line set) and compiled into a
-// template (template.go), which prices any payload by arithmetic;
-// that is how every selection is made. Only the schedule dumps
-// (Schedule*, MacroSchedule) instantiate a shape into concrete
-// messages.
+// (ceil(B/s)), or a scatter chunk multiple (sub·ceil(B/n)). An
+// emitter streams a shape's rounds one at a time, in broadcast order,
+// into a sink; a round that repeats back to back is emitted once with
+// its repeat count (the scatter-allgather ring's n−1 identical steps).
+// The template compiler (template.go) packs each round as it arrives,
+// so no schedule is ever stored whole and a repeated round compiles
+// once; the template then prices any payload by arithmetic, which is
+// how every selection is made. Only the schedule dumps (Schedule*,
+// MacroSchedule) instantiate a shape into concrete messages,
+// expanding the repeats.
 
 // shapeMsg is one byte-symbolic message: at payload B it carries
 // coef * ceil(B/div) bytes.
@@ -26,44 +30,43 @@ func (s shapeMsg) bytes(b int64) int64 { return s.coef * ((b + s.div - 1) / s.di
 // shapeRound is one schedule round in symbolic form.
 type shapeRound []shapeMsg
 
+// shapeSink consumes a streamed schedule: a round in broadcast order
+// and the number of times (≥ 1) it runs back to back. The round's
+// backing array belongs to the emitter, which reuses it for the next
+// round, so a sink copies whatever it keeps.
+type shapeSink func(r shapeRound, rep int)
+
 // shapeVariant is one candidate schedule of an algorithm. Most
 // algorithms emit exactly one; the pipelined chain emits one per
 // segment count, applicable when the payload reaches minBytes and
 // picked by broadcast cost at evaluation time (algoTemplate.pick).
+// emit streams the variant's rounds into a sink; it may be called
+// more than once.
 type shapeVariant struct {
 	minBytes int64
-	rounds   []shapeRound
+	emit     func(sink shapeSink)
+}
+
+// oneVariant wraps an emitter as an algorithm's only candidate.
+func oneVariant(emit func(sink shapeSink)) []shapeVariant {
+	return []shapeVariant{{emit: emit}}
 }
 
 // instantiate materializes a symbolic schedule at a concrete payload
-// with exact-size allocations (broadcast orientation).
-func instantiate(shapes []shapeRound, bytes int64) []Round {
-	if len(shapes) == 0 {
-		return nil
-	}
-	rounds := make([]Round, len(shapes))
-	for i, sr := range shapes {
-		r := make(Round, len(sr))
-		for j, sm := range sr {
-			r[j] = machine.Message{Src: sm.src, Dst: sm.dst, Bytes: sm.bytes(bytes)}
+// (broadcast orientation), each repeated round expanded into its own
+// copies.
+func instantiate(v shapeVariant, bytes int64) []Round {
+	var rounds []Round
+	v.emit(func(sr shapeRound, rep int) {
+		for ; rep > 0; rep-- {
+			r := make(Round, len(sr))
+			for j, sm := range sr {
+				r[j] = machine.Message{Src: sm.src, Dst: sm.dst, Bytes: sm.bytes(bytes)}
+			}
+			rounds = append(rounds, r)
 		}
-		rounds[i] = r
-	}
+	})
 	return rounds
-}
-
-// evaluator bundles the reusable compilation scratch for one mesh:
-// the flat-state contention evaluator whose byte-independent packing
-// partitions each round, plus message and round-assignment buffers
-// shared across rounds and templates.
-type evaluator struct {
-	ev  *machine.CostEval
-	buf []machine.Message
-	asg []int
-}
-
-func newEvaluator(m *machine.Mesh2D) *evaluator {
-	return &evaluator{ev: machine.NewCostEval(m)}
 }
 
 // ---- shape emitters, one per mesh algorithm ----
@@ -77,22 +80,17 @@ func wholePayload(src, dst int) shapeMsg { return shapeMsg{src: src, dst: dst, c
 // serializes them on the root's few outgoing links — exactly the old
 // naive cost for a total collective).
 func shapeFlat(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	n := 0
-	for _, line := range ls {
-		if len(line) > 1 {
-			n += len(line) - 1
+	return oneVariant(func(sink shapeSink) {
+		var r shapeRound
+		for _, line := range ls {
+			for _, dst := range line[1:] {
+				r = append(r, wholePayload(line[0], dst))
+			}
 		}
-	}
-	if n == 0 {
-		return []shapeVariant{{}}
-	}
-	r := make(shapeRound, 0, n)
-	for _, line := range ls {
-		for _, dst := range line[1:] {
-			r = append(r, wholePayload(line[0], dst))
+		if len(r) > 0 {
+			sink(r, 1)
 		}
-	}
-	return []shapeVariant{{rounds: []shapeRound{r}}}
+	})
 }
 
 // shapeBisection is the recursive-halving (midpoint) tree: each
@@ -103,24 +101,25 @@ func shapeFlat(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // conflict-free wherever the grid extents are powers of two, which
 // makes it the cheapest tree on every default mesh.
 func shapeBisection(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	n := maxLineLen(ls)
-	top := 1
-	for top < n {
-		top *= 2
-	}
-	var rounds []shapeRound
-	for d := top / 2; d >= 1; d /= 2 {
+	return oneVariant(func(sink shapeSink) {
+		n := maxLineLen(ls)
+		top := 1
+		for top < n {
+			top *= 2
+		}
 		var r shapeRound
-		for _, line := range ls {
-			for rel := 0; rel+d < len(line); rel += 2 * d {
-				r = append(r, wholePayload(line[rel], line[rel+d]))
+		for d := top / 2; d >= 1; d /= 2 {
+			r = r[:0]
+			for _, line := range ls {
+				for rel := 0; rel+d < len(line); rel += 2 * d {
+					r = append(r, wholePayload(line[rel], line[rel+d]))
+				}
+			}
+			if len(r) > 0 {
+				sink(r, 1)
 			}
 		}
-		if len(r) > 0 {
-			rounds = append(rounds, r)
-		}
-	}
-	return []shapeVariant{{rounds: rounds}}
+	})
 }
 
 // shapeBinomial is the binomial (recursive doubling) tree: in round
@@ -130,20 +129,21 @@ func shapeBisection(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // grid — and how much the round's messages conflict — depends on the
 // mesh shape and the line orientation.
 func shapeBinomial(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	n := maxLineLen(ls)
-	var rounds []shapeRound
-	for dist := 1; dist < n; dist *= 2 {
+	return oneVariant(func(sink shapeSink) {
+		n := maxLineLen(ls)
 		var r shapeRound
-		for _, line := range ls {
-			for rel := 0; rel < dist && rel+dist < len(line); rel++ {
-				r = append(r, wholePayload(line[rel], line[rel+dist]))
+		for dist := 1; dist < n; dist *= 2 {
+			r = r[:0]
+			for _, line := range ls {
+				for rel := 0; rel < dist && rel+dist < len(line); rel++ {
+					r = append(r, wholePayload(line[rel], line[rel+dist]))
+				}
+			}
+			if len(r) > 0 {
+				sink(r, 1)
 			}
 		}
-		if len(r) > 0 {
-			rounds = append(rounds, r)
-		}
-	}
-	return []shapeVariant{{rounds: rounds}}
+	})
 }
 
 // shapeDimTree is the dimension-ordered tree for total collectives:
@@ -151,32 +151,33 @@ func shapeBinomial(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // in the x dimension), then concurrent binomial trees along every row
 // (phase 2, all traffic in the y dimension). Each phase's messages
 // are axis-parallel, so cross-dimension link conflicts never arise.
-// Rounds append unconditionally (possibly empty), as this algorithm
-// always has.
+// Rounds are emitted unconditionally (possibly empty), as this
+// algorithm always has.
 func shapeDimTree(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	root := 0
-	if len(ls) > 0 && len(ls[0]) > 0 {
-		root = ls[0][0]
-	}
-	rx, ry := m.Coords(root)
-	var rounds []shapeRound
-	for dist := 1; dist < m.P; dist *= 2 {
-		var r shapeRound
-		for rel := 0; rel < dist && rel+dist < m.P; rel++ {
-			r = append(r, wholePayload(m.Rank((rx+rel)%m.P, ry), m.Rank((rx+rel+dist)%m.P, ry)))
+	return oneVariant(func(sink shapeSink) {
+		root := 0
+		if len(ls) > 0 && len(ls[0]) > 0 {
+			root = ls[0][0]
 		}
-		rounds = append(rounds, r)
-	}
-	for dist := 1; dist < m.Q; dist *= 2 {
+		rx, ry := m.Coords(root)
 		var r shapeRound
-		for x := 0; x < m.P; x++ {
-			for rel := 0; rel < dist && rel+dist < m.Q; rel++ {
-				r = append(r, wholePayload(m.Rank(x, (ry+rel)%m.Q), m.Rank(x, (ry+rel+dist)%m.Q)))
+		for dist := 1; dist < m.P; dist *= 2 {
+			r = r[:0]
+			for rel := 0; rel < dist && rel+dist < m.P; rel++ {
+				r = append(r, wholePayload(m.Rank((rx+rel)%m.P, ry), m.Rank((rx+rel+dist)%m.P, ry)))
 			}
+			sink(r, 1)
 		}
-		rounds = append(rounds, r)
-	}
-	return []shapeVariant{{rounds: rounds}}
+		for dist := 1; dist < m.Q; dist *= 2 {
+			r = r[:0]
+			for x := 0; x < m.P; x++ {
+				for rel := 0; rel < dist && rel+dist < m.Q; rel++ {
+					r = append(r, wholePayload(m.Rank(x, (ry+rel)%m.Q), m.Rank(x, (ry+rel+dist)%m.Q)))
+				}
+			}
+			sink(r, 1)
+		}
+	})
 }
 
 // shapeChain is the pipelined chain: the payload is cut into s
@@ -188,11 +189,11 @@ func shapeDimTree(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // the concrete machine and payload wins at pricing time.
 func shapeChain(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 	if maxLineLen(ls) < 2 {
-		return []shapeVariant{{}}
+		return oneVariant(func(shapeSink) {})
 	}
 	vs := make([]shapeVariant, 0, len(chainSegments))
 	for _, s := range chainSegments {
-		v := shapeVariant{rounds: shapeChainSeg(ls, s)}
+		v := shapeVariant{emit: func(sink shapeSink) { emitChainSeg(ls, s, sink) }}
 		if s > 1 {
 			v.minBytes = int64(s)
 		}
@@ -201,74 +202,70 @@ func shapeChain(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 	return vs
 }
 
-// shapeChainSeg: the chain schedule with exactly s segments; segment
-// j reaches line position i (1-based) in round i−1+j.
-func shapeChainSeg(ls [][]int, s int) []shapeRound {
+// emitChainSeg streams the chain schedule with exactly s segments;
+// segment j reaches line position i (1-based) in round i−1+j.
+func emitChainSeg(ls [][]int, s int, sink shapeSink) {
 	n := maxLineLen(ls)
-	var rounds []shapeRound
+	// Each line carries at most one message per in-flight segment.
+	r := make(shapeRound, 0, len(ls)*min(s, n-1))
 	for t := 0; t < n-1+s-1; t++ {
-		// Each line carries at most one message per in-flight segment.
-		r := make(shapeRound, 0, len(ls)*min(s, n-1))
+		r = r[:0]
 		for _, line := range ls {
-			for i := 1; i < len(line); i++ {
-				j := t - (i - 1)
-				if j < 0 || j >= s {
-					continue
-				}
+			// Positions i with 0 ≤ t−(i−1) < s carry segment t−(i−1).
+			for i := max(1, t-s+2); i <= t+1 && i < len(line); i++ {
 				r = append(r, shapeMsg{src: line[i-1], dst: line[i], coef: 1, div: int64(s)})
 			}
 		}
 		if len(r) > 0 {
-			rounds = append(rounds, r)
+			sink(r, 1)
 		}
 	}
-	return rounds
 }
 
 // shapeScatterAllgather is the large-payload broadcast: a binomial
 // scatter distributes 1/n of the payload across each line in
 // ⌈log₂ n⌉ rounds of halving sizes (the sender at position rel hands
 // the chunks of [rel+dist, rel+2·dist) to its partner), then a ring
-// allgather circulates the chunks in n−1 rounds of concurrent
-// neighbor messages. Total traffic is ≈2·bytes per link instead of
-// bytes·n, which wins once payloads dwarf startups.
+// allgather circulates the chunks in n−1 identical rounds of
+// concurrent neighbor messages, emitted once with that repeat count.
+// Total traffic is ≈2·bytes per link instead of bytes·n, which wins
+// once payloads dwarf startups.
 func shapeScatterAllgather(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	n := maxLineLen(ls)
-	if n < 2 {
-		return []shapeVariant{{}}
-	}
-	div := int64(n)
-	top := 1
-	for top < n {
-		top *= 2
-	}
-	var rounds []shapeRound
-	for dist := top / 2; dist >= 1; dist /= 2 {
+	return oneVariant(func(sink shapeSink) {
+		n := maxLineLen(ls)
+		if n < 2 {
+			return
+		}
+		div := int64(n)
+		top := 1
+		for top < n {
+			top *= 2
+		}
 		var r shapeRound
-		for _, line := range ls {
-			for rel := 0; rel < len(line); rel += 2 * dist {
-				if rel+dist >= len(line) {
-					continue
+		for dist := top / 2; dist >= 1; dist /= 2 {
+			r = r[:0]
+			for _, line := range ls {
+				for rel := 0; rel < len(line); rel += 2 * dist {
+					if rel+dist >= len(line) {
+						continue
+					}
+					sub := dist
+					if len(line)-(rel+dist) < sub {
+						sub = len(line) - (rel + dist)
+					}
+					r = append(r, shapeMsg{src: line[rel], dst: line[rel+dist], coef: int64(sub), div: div})
 				}
-				sub := dist
-				if len(line)-(rel+dist) < sub {
-					sub = len(line) - (rel + dist)
-				}
-				r = append(r, shapeMsg{src: line[rel], dst: line[rel+dist], coef: int64(sub), div: div})
+			}
+			if len(r) > 0 {
+				sink(r, 1)
 			}
 		}
-		if len(r) > 0 {
-			rounds = append(rounds, r)
-		}
-	}
-	for t := 0; t < n-1; t++ {
-		r := make(shapeRound, 0, len(ls)*n)
+		r = r[:0]
 		for _, line := range ls {
 			for i := range line {
 				r = append(r, shapeMsg{src: line[i], dst: line[(i+1)%len(line)], coef: 1, div: div})
 			}
 		}
-		rounds = append(rounds, r)
-	}
-	return []shapeVariant{{rounds: rounds}}
+		sink(r, n-1)
+	})
 }

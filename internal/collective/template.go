@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -11,14 +12,19 @@ import (
 // round's contention partition (which messages serialize into which
 // conflict round, a function of message paths only) — is computed once
 // per (mesh geometry, pattern, dims, force) and frozen into a
-// template. Evaluating the template at a payload is then pure
-// arithmetic over the frozen structure: per contention group, the
-// payload-dependent message sizes reduce to a handful of coef·ceil(B/div)
-// terms whose max is the group's serialized transfer size, priced
-// bit-identically to Mesh2D.Time over the materialized rounds. The
-// cold Select* functions compile a template and evaluate it once;
-// compiled.Pricer caches templates across calls. Eval allocates
-// nothing.
+// template. Compilation streams: each round is packed as its emitter
+// hands it over and is never stored as messages, and a repeated round
+// (emitted once with its count, or equal in partition to the round
+// before) compiles to one priced round with a repeat count, so a
+// template's size and compile work follow the schedule's distinct
+// structure rather than its message volume. Evaluating the template
+// at a payload is then pure arithmetic over the frozen structure: per
+// contention group, the payload-dependent message sizes reduce to a
+// handful of coef·ceil(B/div) terms whose max is the group's
+// serialized transfer size, priced bit-identically to Mesh2D.Time
+// over the materialized rounds. The cold Select* functions compile a
+// template and evaluate it once; compiled.Pricer caches templates
+// across calls. Eval allocates nothing.
 
 // byteTerm is one symbolic message-size term of a contention group:
 // coef · ceil(B/div) bytes at payload B.
@@ -59,53 +65,71 @@ func (g *contGroup) maxBytes(b int64) int64 {
 }
 
 // pricedRound is one schedule round with its precomputed contention
-// partition, groups in creation (pricing) order.
+// partition, groups in creation (pricing) order, and the number of
+// times it runs back to back: consecutive rounds with equal
+// partitions compile to one pricedRound.
 type pricedRound struct {
 	groups []contGroup
+	rep    int
 }
 
 // foldRounds prices a priced round sequence starting from a running
 // total, with exactly Mesh2D.Time's float accumulation: each schedule
 // round's contention groups accumulate into their own subtotal (as
 // Time does), which then adds to the running total (as MeshCost
-// does). The start parameter is what makes two-phase compositions
-// bit-exact: folding phase 2 from phase 1's cost reproduces the
-// single-sequence fold over the concatenation.
+// does) once per repeat — the same additions, in the same order, as
+// pricing every repeat on its own. The start parameter is what makes
+// two-phase compositions bit-exact: folding phase 2 from phase 1's
+// cost reproduces the single-sequence fold over the concatenation.
 func foldRounds(rounds []pricedRound, m *machine.Mesh2D, bytes int64, start float64) float64 {
 	total := start
 	for i := range rounds {
+		r := &rounds[i]
 		t := 0.0
-		for gi := range rounds[i].groups {
-			g := &rounds[i].groups[gi]
+		for gi := range r.groups {
+			g := &r.groups[gi]
 			t += m.Startup + float64(g.maxBytes(bytes))*m.PerByte + float64(g.maxHops)*m.HopLatency
 		}
-		total += t
+		for k := 0; k < r.rep; k++ {
+			total += t
+		}
 	}
 	return total
 }
 
-// compileSeq freezes a symbolic schedule's contention structure under
-// the pattern: reductions compile their mirrored execution (reversed
-// rounds, swapped endpoints), whose paths — and therefore contention
-// partition — differ from the broadcast orientation under XY routing.
-func (e *evaluator) compileSeq(shapes []shapeRound, p Pattern) []pricedRound {
-	out := make([]pricedRound, len(shapes))
-	if p == Reduction {
-		for i := len(shapes) - 1; i >= 0; i-- {
-			out[len(shapes)-1-i] = e.compileRound(shapes[i], true)
-		}
-		return out
+// evaluator bundles the reusable compilation scratch for one mesh:
+// the flat-state contention evaluator whose byte-independent packing
+// partitions each round, plus the message, round-assignment and
+// contention-group buffers every round compiles through.
+type evaluator struct {
+	ev     *machine.CostEval
+	buf    []machine.Message
+	asg    []int
+	groups []contGroup
+}
+
+func newEvaluator(m *machine.Mesh2D) *evaluator {
+	return &evaluator{ev: machine.NewCostEval(m)}
+}
+
+// appendRound compiles one streamed round onto a priced sequence,
+// mirrored (swapped endpoints) for a reduction, whose paths — and
+// therefore contention partition — differ from the broadcast
+// orientation under XY routing. A round whose partition equals the
+// sequence's last round only adds its repeats there.
+func (e *evaluator) appendRound(seq []pricedRound, sr shapeRound, rep int, mirror bool) []pricedRound {
+	gs := e.compileRound(sr, mirror)
+	if n := len(seq); n > 0 && sameGroups(seq[n-1].groups, gs) {
+		seq[n-1].rep += rep
+		return seq
 	}
-	for i := range shapes {
-		out[i] = e.compileRound(shapes[i], false)
-	}
-	return out
+	return append(seq, pricedRound{groups: cloneGroups(gs), rep: rep})
 }
 
 // compileRound partitions one round into contention groups via the
 // coster's byte-independent packing and collects each group's hop
-// maximum and size terms.
-func (e *evaluator) compileRound(sr shapeRound, mirror bool) pricedRound {
+// maximum and size terms, into scratch valid until the next call.
+func (e *evaluator) compileRound(sr shapeRound, mirror bool) []contGroup {
 	if cap(e.buf) < len(sr) {
 		e.buf = make([]machine.Message, len(sr))
 	}
@@ -122,27 +146,61 @@ func (e *evaluator) compileRound(sr shapeRound, mirror bool) pricedRound {
 	}
 	assign := e.asg[:len(sr)]
 	nr := e.ev.Assign(buf, assign)
-	groups := make([]contGroup, nr)
-	// One backing array gives every group room for one size term, the
-	// common case (a round's messages mostly share one div); a group
-	// needing more reallocates on append.
-	terms := make([]byteTerm, nr)
-	for i := range groups {
-		_, groups[i].maxHops = e.ev.Round(i)
-		groups[i].terms = terms[i : i : i+1]
+	if cap(e.groups) < nr {
+		e.groups = append(e.groups[:cap(e.groups)], make([]contGroup, nr-cap(e.groups))...)
+	}
+	gs := e.groups[:nr]
+	for i := range gs {
+		_, gs[i].maxHops = e.ev.Round(i)
+		gs[i].terms = gs[i].terms[:0]
 	}
 	for j, sm := range sr {
 		if assign[j] >= 0 {
-			groups[assign[j]].addTerm(sm.coef, sm.div)
+			gs[assign[j]].addTerm(sm.coef, sm.div)
 		}
 	}
-	return pricedRound{groups: groups}
+	return gs
+}
+
+// sameGroups reports whether two contention partitions price
+// identically at every payload: equal groups in equal order.
+func sameGroups(a, b []contGroup) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].maxHops != b[i].maxHops || !slices.Equal(a[i].terms, b[i].terms) {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneGroups copies a scratch partition out, every group's terms in
+// one backing array.
+func cloneGroups(gs []contGroup) []contGroup {
+	if len(gs) == 0 {
+		return nil
+	}
+	nt := 0
+	for i := range gs {
+		nt += len(gs[i].terms)
+	}
+	out := make([]contGroup, len(gs))
+	terms := make([]byteTerm, 0, nt)
+	for i := range gs {
+		start := len(terms)
+		terms = append(terms, gs[i].terms...)
+		out[i] = contGroup{maxHops: gs[i].maxHops, terms: terms[start:len(terms):len(terms)]}
+	}
+	return out
 }
 
 // variantTemplate is one compiled candidate schedule of an algorithm.
 type variantTemplate struct {
 	minBytes int64
-	nrounds  int
+	// nrounds counts schedule rounds, repeats included.
+	nrounds int
 	// main is the schedule priced under the template's pattern, in
 	// execution order.
 	main []pricedRound
@@ -185,19 +243,30 @@ func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) int {
 }
 
 // compileAlgo compiles one algorithm's shape variants under the
-// pattern.
+// pattern, packing each round as the variant streams it. A reduction
+// runs the broadcast schedule mirrored — reversed rounds, swapped
+// endpoints — so its rounds compile mirrored and the compiled list is
+// then reversed.
 func (e *evaluator) compileAlgo(name string, vs []shapeVariant, p Pattern) algoTemplate {
-	at := algoTemplate{name: name, variants: make([]variantTemplate, 0, len(vs))}
-	for _, v := range vs {
-		vt := variantTemplate{
-			minBytes: v.minBytes,
-			nrounds:  len(v.rounds),
-			main:     e.compileSeq(v.rounds, p),
+	at := algoTemplate{name: name, variants: make([]variantTemplate, len(vs))}
+	mirror := p == Reduction
+	// Variant selection has always segmented on broadcast cost, so a
+	// reduction with several variants also compiles the broadcast
+	// orientation, from the same stream.
+	bcast := mirror && len(vs) > 1
+	for i, v := range vs {
+		vt := &at.variants[i]
+		vt.minBytes = v.minBytes
+		v.emit(func(r shapeRound, rep int) {
+			vt.nrounds += rep
+			vt.main = e.appendRound(vt.main, r, rep, mirror)
+			if bcast {
+				vt.bcast = e.appendRound(vt.bcast, r, rep, false)
+			}
+		})
+		if mirror {
+			slices.Reverse(vt.main)
 		}
-		if len(vs) > 1 && p == Reduction {
-			vt.bcast = e.compileSeq(v.rounds, Broadcast)
-		}
-		at.variants = append(at.variants, vt)
 	}
 	return at
 }

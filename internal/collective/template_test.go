@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -22,10 +23,26 @@ var templateForces = []string{"", "flat", "chain", "dim-tree", "direct"}
 
 // The reference selector below is the oracle the compiled selection
 // is checked against. It shares only the shape emitters with the
-// template tier: every candidate is materialized (instantiate, then
+// template tier: every candidate is materialized (refRounds, then
 // reverseRounds for reductions) and priced by MeshCost — Mesh2D.Time
 // round by round — and the phases of a plane composition compose by
 // concatenating their rounds.
+
+// refRounds materializes a streamed shape at the payload, expanding
+// every repeated round into its own copies.
+func refRounds(v shapeVariant, bytes int64) []Round {
+	var rounds []Round
+	v.emit(func(sr shapeRound, rep int) {
+		for k := 0; k < rep; k++ {
+			r := make(Round, 0, len(sr))
+			for _, sm := range sr {
+				r = append(r, machine.Message{Src: sm.src, Dst: sm.dst, Bytes: sm.coef * ((bytes + sm.div - 1) / sm.div)})
+			}
+			rounds = append(rounds, r)
+		}
+	})
+	return rounds
+}
 
 // refOrient turns broadcast-orientation rounds into the pattern's
 // execution order.
@@ -41,14 +58,14 @@ func refOrient(p Pattern, rounds []Round) []Round {
 // earlier variants winning ties. ok is false when none applies.
 func refVariant(m *machine.Mesh2D, vs []shapeVariant, bytes int64) (best []Round, ok bool) {
 	if len(vs) == 1 {
-		return instantiate(vs[0].rounds, bytes), true
+		return refRounds(vs[0], bytes), true
 	}
 	bestCost := 0.0
 	for _, v := range vs {
 		if v.minBytes > 0 && bytes < v.minBytes {
 			continue
 		}
-		r := instantiate(v.rounds, bytes)
+		r := refRounds(v, bytes)
 		if c := MeshCost(m, r); !ok || c < bestCost {
 			best, bestCost, ok = r, c, true
 		}
@@ -236,5 +253,84 @@ func TestMeshTemplateEvalAllocs(t *testing.T) {
 		i++
 	}); n > 0 {
 		t.Fatalf("MeshTemplate.Eval allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestMeshTemplateRingCompilesOnce: the scatter-allgather ring's n−1
+// identical steps compile to one priced round with a repeat count,
+// while the template still reports every round.
+func TestMeshTemplateRingCompilesOnce(t *testing.T) {
+	m := machine.DefaultMesh(16, 16)
+	for _, p := range []Pattern{Broadcast, Reduction} {
+		lt := buildLineTemplate(newEvaluator(m), m, p, totalLine(m, 0), "scatter-allgather", "")
+		v := &lt.algos[0].variants[0]
+		ring := v.main[len(v.main)-1]
+		if p == Reduction {
+			ring = v.main[0]
+		}
+		if ring.rep != 255 {
+			t.Fatalf("%s: ring step compiled with rep %d, want 255", p, ring.rep)
+		}
+		reps := 0
+		for _, r := range v.main {
+			reps += r.rep
+		}
+		// ⌈log₂ 256⌉ = 8 scatter rounds, then the 255 ring steps.
+		if v.nrounds != 8+255 || reps != v.nrounds {
+			t.Fatalf("%s: nrounds %d, repeats sum to %d; want 263", p, v.nrounds, reps)
+		}
+		want, _ := refLines(m, p, totalLine(m, 0), 1<<20, "scatter-allgather", "")
+		got, _, _ := lt.evalWinner(m, 1<<20)
+		requireSameChoice(t, fmt.Sprintf("%s scatter-allgather", p), want, got)
+	}
+}
+
+// compileAll compiles, with a fresh builder, every template structure
+// of the mesh: the total line, both per-dimension line sets and the
+// full-plane composition, for broadcasts and reductions.
+func compileAll(m *machine.Mesh2D) {
+	b := NewTemplateBuilder(m)
+	for _, p := range []Pattern{Broadcast, Reduction} {
+		b.Total(p, "")
+		b.Dim(p, 0, "")
+		b.Dim(p, 1, "")
+		b.Macro(p, []int{0, 1}, "")
+	}
+}
+
+// TestMeshTemplateCompileAllocs gates compilation's allocation count:
+// rounds compile through reused scratch, and a repeated round
+// allocates nothing, so only each distinct priced round and the
+// template skeleton allocate. The bounds sit about 7% above the
+// measured counts (3355 and 3260; storing every round before packing
+// it took 21583 and 19645).
+func TestMeshTemplateCompileAllocs(t *testing.T) {
+	for _, c := range []struct {
+		p, q int
+		max  float64
+	}{{16, 16, 3600}, {64, 2, 3500}} {
+		m := machine.DefaultMesh(c.p, c.q)
+		if n := testing.AllocsPerRun(5, func() { compileAll(m) }); n > c.max {
+			t.Fatalf("compiling every mesh%dx%d template allocates %.0f times, want ≤ %.0f", c.p, c.q, n, c.max)
+		}
+	}
+}
+
+// TestSelectMeshAllocsScaling: a cold selection's memory follows the
+// schedules' distinct structure, so quadrupling the node count
+// (mesh32x32 to mesh64x64) may not blow up its allocation.
+func TestSelectMeshAllocsScaling(t *testing.T) {
+	allocated := func(n int) uint64 {
+		m := machine.DefaultMesh(n, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		SelectMesh(m, Broadcast, 0, 4096, "")
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, big := allocated(32), allocated(64)
+	if big > 6*small {
+		t.Fatalf("cold SelectMesh allocates %d B on mesh64x64, %.1f× the %d B on mesh32x32; want ≤ 6×",
+			big, float64(big)/float64(small), small)
 	}
 }

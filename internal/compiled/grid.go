@@ -26,12 +26,6 @@ func (g *Grid) Points() int { return len(g.Machines) * len(g.Bytes) }
 // certainly a typo in a range.
 const maxGridPoints = 65536
 
-// maxMachineNodes bounds one machine configuration. Template
-// compilation walks every grid line of a machine, so a runaway extent
-// (mesh{2..1048576}x…) must be rejected at parse time even when the
-// lattice's point count is small.
-const maxMachineNodes = 1 << 14
-
 // ParseGrid parses the lattice grammar:
 //
 //	mesh{4..64}x{2..64}:bytes=1k..16M
@@ -111,8 +105,11 @@ func ParseGrid(s string) (*Grid, error) {
 		if ms.Kind == scenarios.Mesh {
 			nodes = ms.P * ms.Q
 		}
-		if nodes > maxMachineNodes {
-			return nil, fmt.Errorf("compiled: machine %s in grid %q has %d nodes (max %d)", ms, s, nodes, maxMachineNodes)
+		// A runaway extent (mesh{2..1048576}x…) is rejected even when
+		// the lattice's point count is small; extents are int32, so the
+		// product cannot wrap.
+		if nodes > scenarios.MaxMachineNodes {
+			return nil, fmt.Errorf("compiled: machine %s in grid %q has %d nodes (max %d)", ms, s, nodes, scenarios.MaxMachineNodes)
 		}
 	}
 	return g, nil

@@ -2,15 +2,25 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
 // CostEval is the mesh contention simulator: the greedy first-fit
 // packing of a pattern into conflict-free rounds that Mesh2D.Time
 // prices (Time is a thin wrapper over a pooled CostEval). It keeps
-// its working state (per-round link-occupancy bitmaps, path scratch)
-// allocated across calls, so pricing thousands of candidate schedules
-// costs zero steady-state allocations.
+// its working state (link occupancy, path scratch) allocated across
+// calls, so pricing thousands of candidate schedules costs zero
+// steady-state allocations.
+//
+// Occupancy is kept per directed link, 64 rounds to a word: bit i of
+// a link's word for block b says the link is busy in round 64·b+i.
+// Placing a message ORs the words of its path's links and takes the
+// first zero bit, the lowest round where the whole path is free. Only
+// the (link, block) pairs a pattern actually occupies hold a word, so
+// the state grows with the pattern, not with rounds × links: a
+// root-to-all pattern that opens thousands of rounds on a big mesh
+// needs a few words per link it crosses.
 //
 // It additionally exposes the packing itself (Assign): the partition
 // of a pattern into contention rounds depends only on message paths,
@@ -26,21 +36,36 @@ type CostEval struct {
 	// nlinks is the directed-link index space: 2 dims x 2 dirs per
 	// node. Indices are ((x*Q+y)*2+dim)*2+dirIdx with dirIdx 0 for
 	// dir -1 and 1 for dir +1.
-	nlinks  int
+	nlinks int
+	// head[l] indexes link l's first occupancy word in words, -1 while
+	// the link is free in every round; touched lists the links with a
+	// word, for O(links touched) clearing between calls.
+	head    []int32
+	words   []occWord
+	touched []int32
+	// blocked is placement scratch: per 64-round block, the rounds the
+	// current message's path is busy in.
+	blocked []uint64
 	rounds  []costRound
 	nrounds int
 	path    []int32
+}
+
+// occWord is one link's occupancy over one block of 64 rounds; a
+// link's words form a list through next (-1 ends it), newest block
+// first.
+type occWord struct {
+	bits  uint64
+	block int32
+	next  int32
 }
 
 // evalPool holds the evaluators Mesh2D.Time borrows; bind adapts a
 // pooled one to the caller's mesh.
 var evalPool = sync.Pool{New: func() any { return new(CostEval) }}
 
-// costRound is one contention round: a flat link-occupancy bitmap
-// plus a dirty list for O(links touched) clearing between calls.
+// costRound is one contention round's aggregates.
 type costRound struct {
-	used     []bool
-	dirty    []int32
 	maxBytes int64
 	maxHops  int
 }
@@ -50,12 +75,13 @@ func NewCostEval(m *Mesh2D) *CostEval {
 	if m.P < 1 || m.Q < 1 {
 		panic(fmt.Sprintf("machine: cost evaluator needs a non-empty mesh, got %dx%d", m.P, m.Q))
 	}
-	return &CostEval{m: m, nlinks: m.P * m.Q * 4}
+	e := &CostEval{}
+	e.bind(m)
+	return e
 }
 
-// bind points the evaluator at m. A geometry change reslices the
-// round bitmaps, which reset leaves all-false over their whole
-// capacity, and reallocates only those too small for the new mesh.
+// bind points the evaluator at m. A geometry change resizes the
+// per-link heads, reallocating only when they are too small.
 func (e *CostEval) bind(m *Mesh2D) {
 	e.reset()
 	e.m = m
@@ -64,13 +90,13 @@ func (e *CostEval) bind(m *Mesh2D) {
 		return
 	}
 	e.nlinks = n
-	for i := range e.rounds {
-		r := &e.rounds[i]
-		if cap(r.used) >= n {
-			r.used = r.used[:n]
-		} else {
-			r.used = make([]bool, n)
-		}
+	if cap(e.head) < n {
+		e.head = make([]int32, n)
+	} else {
+		e.head = e.head[:n]
+	}
+	for i := range e.head {
+		e.head[i] = -1
 	}
 }
 
@@ -97,7 +123,6 @@ func (e *CostEval) Time(msgs []Message) float64 {
 // next Time/Assign call.
 func (e *CostEval) Assign(msgs []Message, assign []int) int {
 	e.reset()
-	nr := 0
 	for mi := range msgs {
 		msg := &msgs[mi]
 		if msg.Src == msg.Dst {
@@ -107,42 +132,26 @@ func (e *CostEval) Assign(msgs []Message, assign []int) int {
 			continue
 		}
 		e.walk(msg.Src, msg.Dst)
-		placed := -1
-		for ri := 0; ri < nr; ri++ {
-			r := &e.rounds[ri]
-			free := true
-			for _, l := range e.path {
-				if r.used[l] {
-					free = false
-					break
-				}
+		ri := e.firstFree()
+		if ri == e.nrounds {
+			if ri == len(e.rounds) {
+				e.rounds = append(e.rounds, costRound{})
 			}
-			if free {
-				r.occupy(e.path)
-				if msg.Bytes > r.maxBytes {
-					r.maxBytes = msg.Bytes
-				}
-				if len(e.path) > r.maxHops {
-					r.maxHops = len(e.path)
-				}
-				placed = ri
-				break
-			}
+			e.nrounds++
 		}
-		if placed < 0 {
-			r := e.grow(nr)
-			nr++
-			r.occupy(e.path)
+		e.occupy(ri)
+		r := &e.rounds[ri]
+		if msg.Bytes > r.maxBytes {
 			r.maxBytes = msg.Bytes
+		}
+		if len(e.path) > r.maxHops {
 			r.maxHops = len(e.path)
-			placed = nr - 1
 		}
 		if assign != nil {
-			assign[mi] = placed
+			assign[mi] = ri
 		}
 	}
-	e.nrounds = nr
-	return nr
+	return e.nrounds
 }
 
 // Round returns the largest message (in bytes) and the longest path
@@ -151,36 +160,63 @@ func (e *CostEval) Round(i int) (maxBytes int64, maxHops int) {
 	return e.rounds[i].maxBytes, e.rounds[i].maxHops
 }
 
-// reset clears the previous call's round state, touching only the
-// links it actually occupied.
+// reset clears the previous call's state, touching only the links it
+// actually occupied.
 func (e *CostEval) reset() {
+	for _, l := range e.touched {
+		e.head[l] = -1
+	}
+	e.touched = e.touched[:0]
+	e.words = e.words[:0]
 	for i := 0; i < e.nrounds; i++ {
-		r := &e.rounds[i]
-		for _, l := range r.dirty {
-			r.used[l] = false
-		}
-		r.dirty = r.dirty[:0]
-		r.maxBytes = 0
-		r.maxHops = 0
+		e.rounds[i] = costRound{}
 	}
 	e.nrounds = 0
 }
 
-// grow returns round i, allocating its bitmap on first use.
-func (e *CostEval) grow(i int) *costRound {
-	for len(e.rounds) <= i {
-		e.rounds = append(e.rounds, costRound{used: make([]bool, e.nlinks)})
+// firstFree returns the lowest round in which every link of e.path is
+// free: an existing round, or e.nrounds to open a new one.
+func (e *CostEval) firstFree() int {
+	nb := e.nrounds/64 + 1 // blocks covering rounds 0..nrounds
+	if cap(e.blocked) < nb {
+		e.blocked = make([]uint64, nb, 2*nb)
 	}
-	return &e.rounds[i]
+	blocked := e.blocked[:nb]
+	clear(blocked)
+	for _, l := range e.path {
+		for w := e.head[l]; w >= 0; w = e.words[w].next {
+			blocked[e.words[w].block] |= e.words[w].bits
+		}
+	}
+	// No link is busy in round nrounds, so a zero bit always exists
+	// at or below it.
+	for b, busy := range blocked {
+		if busy != ^uint64(0) {
+			return b*64 + bits.TrailingZeros64(^busy)
+		}
+	}
+	panic("machine: no free round")
 }
 
-// occupy marks a path's links used. Paths within a round are disjoint
-// by construction (the caller only places on free links) and a single
-// XY walk never repeats a link, so dirty entries stay unique.
-func (r *costRound) occupy(path []int32) {
-	for _, l := range path {
-		r.used[l] = true
-		r.dirty = append(r.dirty, l)
+// occupy marks e.path's links busy in round ri. The caller only
+// places on free links and a single XY walk never repeats a link, so
+// every bit set here was clear.
+func (e *CostEval) occupy(ri int) {
+	block, bit := int32(ri/64), uint64(1)<<(ri%64)
+	for _, l := range e.path {
+		w := e.head[l]
+		for w >= 0 && e.words[w].block != block {
+			w = e.words[w].next
+		}
+		if w < 0 {
+			if e.head[l] < 0 {
+				e.touched = append(e.touched, l)
+			}
+			w = int32(len(e.words))
+			e.words = append(e.words, occWord{block: block, next: e.head[l]})
+			e.head[l] = w
+		}
+		e.words[w].bits |= bit
 	}
 }
 

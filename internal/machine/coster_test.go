@@ -23,8 +23,8 @@ func randPattern(rng *rand.Rand, m *Mesh2D, n int) []Message {
 
 // referenceTime is the original map-based contention packer, kept
 // verbatim as an oracle independent of CostEval's flat link indexing,
-// bitmaps and pooling: one map[linkID]bool per round, paths from
-// walkXY.
+// occupancy words and pooling: one map[linkID]bool per round, paths
+// from walkXY.
 func referenceTime(m *Mesh2D, msgs []Message) float64 {
 	type round struct {
 		used     map[linkID]bool
@@ -107,6 +107,35 @@ func TestCostEvalMatchesTime(t *testing.T) {
 			}
 			if got := evals[i].Time(msgs); got != want {
 				t.Fatalf("mesh %dx%d trial %d: CostEval.Time = %v, reference %v", m.P, m.Q, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestCostEvalManyRounds: root-to-all and all-to-root patterns
+// serialize on the root's links into hundreds of rounds, spanning
+// many 64-round occupancy blocks, and must still pack exactly as the
+// reference does.
+func TestCostEvalManyRounds(t *testing.T) {
+	for _, sh := range [][2]int{{16, 16}, {64, 2}, {2, 64}, {32, 32}} {
+		m := DefaultMesh(sh[0], sh[1])
+		ev := NewCostEval(m)
+		for _, root := range []int{0, m.Procs() / 2} {
+			var out, in []Message
+			for r := 0; r < m.Procs(); r++ {
+				out = append(out, Message{Src: root, Dst: r, Bytes: int64(r)})
+				in = append(in, Message{Src: r, Dst: root, Bytes: int64(r)})
+			}
+			for _, msgs := range [][]Message{out, in, append(append([]Message{}, out...), in...)} {
+				if got, want := ev.Time(msgs), referenceTime(m, msgs); got != want {
+					t.Fatalf("mesh %dx%d root %d: CostEval.Time = %v, reference %v", m.P, m.Q, root, got, want)
+				}
+			}
+			// A corner root has two out-links, so its fan-out opens at
+			// least a round per two destinations: 128 and more on the
+			// square meshes, past the first 64-round block.
+			if nr := ev.Assign(out, nil); root == 0 && nr < m.Procs()/2 {
+				t.Fatalf("mesh %dx%d: corner root-to-all packs into %d rounds, want ≥ %d", m.P, m.Q, nr, m.Procs()/2)
 			}
 		}
 	}

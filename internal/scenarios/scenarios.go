@@ -58,10 +58,29 @@ func (s MachineSpec) String() string {
 	return base
 }
 
+// MaxMachineNodes bounds one machine configuration a request may
+// name. Template compilation walks every grid line of a machine, so a
+// runaway extent must be rejected when the spec is parsed.
+const MaxMachineNodes = 1 << 14
+
 // ParseMachineSpec parses the String form back into a spec:
-// "fattreeP" or "meshPxQ" with positive extents, optionally followed
-// by ":algorithm" to pin the collective algorithm.
+// "fattreeP" or "meshPxQ" with positive extents and at most
+// MaxMachineNodes nodes, optionally followed by ":algorithm" to pin
+// the collective algorithm.
 func ParseMachineSpec(s string) (MachineSpec, error) {
+	spec, err := parseMachineSpec(s)
+	if err != nil {
+		return MachineSpec{}, err
+	}
+	// Check each extent first so the product cannot wrap.
+	if spec.P > MaxMachineNodes || spec.Q > MaxMachineNodes || spec.Procs() > MaxMachineNodes {
+		return MachineSpec{}, fmt.Errorf("scenarios: machine %q has more than %d nodes", s, MaxMachineNodes)
+	}
+	return spec, nil
+}
+
+// parseMachineSpec parses the spec grammar, whatever the size.
+func parseMachineSpec(s string) (MachineSpec, error) {
 	base, algo := s, ""
 	if i := strings.IndexByte(s, ':'); i >= 0 {
 		base, algo = s[:i], s[i+1:]

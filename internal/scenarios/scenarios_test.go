@@ -149,13 +149,18 @@ func TestParseMachineSpec(t *testing.T) {
 		{Kind: FatTree, P: 128},
 		{Kind: Mesh, P: 4, Q: 4},
 		{Kind: Mesh, P: 16, Q: 2},
+		{Kind: Mesh, P: 128, Q: 128},
+		{Kind: FatTree, P: MaxMachineNodes},
 	} {
 		got, err := ParseMachineSpec(spec.String())
 		if err != nil || got != spec {
 			t.Errorf("ParseMachineSpec(%q) = %v, %v", spec.String(), got, err)
 		}
 	}
-	for _, bad := range []string{"", "torus4", "mesh4", "meshx4", "fattree", "fattree-2", "mesh0x4", "fattree32x"} {
+	for _, bad := range []string{"", "torus4", "mesh4", "meshx4", "fattree", "fattree-2", "mesh0x4", "fattree32x",
+		// More than MaxMachineNodes nodes, including products that would
+		// wrap int64.
+		"mesh129x128", "fattree16385", "mesh100000x100000", "mesh4294967296x4294967296"} {
 		if _, err := ParseMachineSpec(bad); err == nil {
 			t.Errorf("ParseMachineSpec(%q) accepted", bad)
 		}

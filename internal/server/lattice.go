@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 
 	"repro/internal/api"
 	"repro/internal/compiled"
@@ -33,11 +34,14 @@ func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "%v", err))
 		return
 	}
+	// The sweep prices the grid's own payloads; its largest goes in as
+	// the element size so the optimize bounds check it too.
 	sc, aerr := scenarioFromRequest(&api.OptimizeRequest{
 		Example:         req.Example,
 		Nest:            req.Nest,
 		M:               req.M,
 		N:               req.N,
+		ElemBytes:       slices.Max(grid.Bytes),
 		NoMacro:         req.NoMacro,
 		NoDecomposition: req.NoDecomposition,
 	})

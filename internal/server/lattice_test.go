@@ -178,6 +178,10 @@ func TestLatticeErrors(t *testing.T) {
 		"missing nest":    {api.LatticeRequest{Grid: "mesh4x4"}, api.CodeBadRequest},
 		"unknown example": {api.LatticeRequest{Example: "nope", Grid: "mesh4x4"}, api.CodeBadRequest},
 		"both sources":    {api.LatticeRequest{Example: "matmul", Nest: "x", Grid: "mesh4x4"}, api.CodeBadRequest},
+		"huge n":          {api.LatticeRequest{Example: "matmul", N: 257, Grid: "mesh4x4"}, api.CodeBadRequest},
+		// N·elem_bytes would wrap int64 and price a bogus cost.
+		"huge payload":       {api.LatticeRequest{Example: "matmul", Grid: "mesh4x4:bytes=4611686018427387904..9223372036854775807"}, api.CodeBadRequest},
+		"payload past bound": {api.LatticeRequest{Example: "matmul", N: 16, Grid: "mesh4x4:bytes=64,68719476737"}, api.CodeBadRequest},
 	} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/lattice", tc.req)
 		var env api.ErrorEnvelope

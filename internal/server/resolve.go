@@ -15,8 +15,22 @@ import (
 	"repro/internal/store"
 )
 
+// Request size bounds shared by /v1/optimize and /v1/lattice. The
+// machine is bounded by scenarios.MaxMachineNodes when it is parsed.
+const (
+	// maxN bounds the virtual grid extent: pattern compiles
+	// materialize N² element messages.
+	maxN = 256
+	// maxPayloadBytes bounds N·elem_bytes, the bytes one element row
+	// of a residual carries, so that no byte arithmetic downstream
+	// (message sizes, contention-group maxima) can wrap int64.
+	maxPayloadBytes = 1 << 40
+)
+
 // scenarioFromRequest resolves the program and fills the machine and
-// payload defaults for a single-nest optimize request.
+// payload defaults for a single-nest optimize request. It rejects a
+// grid extent above maxN and an element size whose N-element payload
+// exceeds maxPayloadBytes.
 func scenarioFromRequest(req *api.OptimizeRequest) (*scenarios.Scenario, *api.Error) {
 	badReq := func(format string, args ...any) *api.Error {
 		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, format, args...)
@@ -62,6 +76,12 @@ func scenarioFromRequest(req *api.OptimizeRequest) (*scenarios.Scenario, *api.Er
 	eb := req.ElemBytes
 	if eb <= 0 {
 		eb = 64
+	}
+	if n > maxN {
+		return nil, badReq("n = %d exceeds %d", n, maxN)
+	}
+	if eb > maxPayloadBytes/int64(n) {
+		return nil, badReq("n·elem_bytes = %d·%d exceeds %d bytes", n, eb, int64(maxPayloadBytes))
 	}
 	return &scenarios.Scenario{
 		Name:      prog.Name,

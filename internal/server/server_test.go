@@ -179,6 +179,10 @@ func TestOptimizeErrors(t *testing.T) {
 		"unknown":      {api.OptimizeRequest{Example: "nope"}, http.StatusBadRequest, api.CodeBadRequest},
 		"bad nest":     {api.OptimizeRequest{Nest: "not a nest"}, http.StatusBadRequest, api.CodeBadRequest},
 		"bad machine":  {api.OptimizeRequest{Example: "matmul", Machine: "torus9"}, http.StatusBadRequest, api.CodeBadRequest},
+		"huge mesh":    {api.OptimizeRequest{Example: "matmul", Machine: "mesh100000x100000"}, http.StatusBadRequest, api.CodeBadRequest},
+		"huge fattree": {api.OptimizeRequest{Example: "matmul", Machine: "fattree32768"}, http.StatusBadRequest, api.CodeBadRequest},
+		"huge n":       {api.OptimizeRequest{Example: "matmul", N: 257}, http.StatusBadRequest, api.CodeBadRequest},
+		"huge payload": {api.OptimizeRequest{Example: "matmul", N: 256, ElemBytes: 1<<32 + 1}, http.StatusBadRequest, api.CodeBadRequest},
 		"bad optimize": {api.OptimizeRequest{Example: "matmul", M: -1}, http.StatusUnprocessableEntity, api.CodeUnprocessable},
 	} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/optimize", tc.req)
