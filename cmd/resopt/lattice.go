@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -46,12 +47,7 @@ func runLattice(cfg latticeConfig) {
 			fatal(err)
 		}
 	case cfg.example != "":
-		for _, p := range affine.AllExamples() {
-			if p.Name == cfg.example {
-				prog = p
-			}
-		}
-		if prog == nil {
+		if prog = affine.ExampleByName(cfg.example); prog == nil {
 			fatal(fmt.Errorf("unknown example %q (try -list)", cfg.example))
 		}
 	default:
@@ -82,13 +78,17 @@ func runLattice(cfg latticeConfig) {
 		fatal(fmt.Errorf("optimization failed: %s", art.Err))
 	}
 	rows := grid.Sweep(art, s.Pricer(), sc.Dist, sc.N)
-	enc := json.NewEncoder(os.Stdout)
+	out := bufio.NewWriter(os.Stdout)
+	enc := json.NewEncoder(out)
 	switches := 0
 	for _, row := range rows {
 		if row.Switched {
 			switches++
 		}
 		enc.Encode(latticeRowWire(row))
+	}
+	if err := out.Flush(); err != nil {
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "lattice: %s over %s: %d points on %d machines, %d switch points\n",
 		sc.Name, cfg.grid, len(rows), len(grid.Machines), switches)
@@ -110,7 +110,8 @@ func latticeRowWire(row compiled.SweepRow) api.LatticeRow {
 }
 
 // remoteLattice streams a lattice sweep from a resoptd daemon: NDJSON
-// rows to stdout, the human summary to stderr. Like remoteBatch,
+// rows to stdout (buffered, flushed before the summary or a failure),
+// the human summary to stderr. Like remoteBatch,
 // endpoint failover stops once the first row arrives — a stream that
 // dies midway must not restart elsewhere and emit duplicate rows.
 func remoteLattice(ctx context.Context, f *remoteFleet, cfg remoteConfig) {
@@ -132,7 +133,12 @@ func remoteLattice(ctx context.Context, f *remoteFleet, cfg remoteConfig) {
 	default:
 		req.Example = "example1"
 	}
-	enc := json.NewEncoder(os.Stdout)
+	out := bufio.NewWriter(os.Stdout)
+	enc := json.NewEncoder(out)
+	fail := func(err error) {
+		out.Flush()
+		fatal(err)
+	}
 	var sum *api.LatticeSummary
 	streaming := false
 	// Shard by nest + grid: a repeat of the same sweep lands on the
@@ -144,11 +150,14 @@ func remoteLattice(ctx context.Context, f *remoteFleet, cfg remoteConfig) {
 			return enc.Encode(row)
 		})
 		if err != nil && streaming {
-			fatal(err)
+			fail(err)
 		}
 		return err
 	})
 	if err != nil {
+		fail(err)
+	}
+	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
 	s := sum.Summary

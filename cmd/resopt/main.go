@@ -220,12 +220,7 @@ func main() {
 			fatal(err)
 		}
 	case *example != "":
-		for _, p := range affine.AllExamples() {
-			if p.Name == *example {
-				prog = p
-			}
-		}
-		if prog == nil {
+		if prog = affine.ExampleByName(*example); prog == nil {
 			fatal(fmt.Errorf("unknown example %q (try -list)", *example))
 		}
 	default:

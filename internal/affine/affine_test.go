@@ -15,6 +15,19 @@ func TestAllExamplesValidate(t *testing.T) {
 	}
 }
 
+// TestExampleByName: each example is found under the name its
+// constructor gives it, and an unknown name finds nothing.
+func TestExampleByName(t *testing.T) {
+	for _, p := range AllExamples() {
+		if got := ExampleByName(p.Name); got == nil || got.Name != p.Name {
+			t.Errorf("ExampleByName(%q) = %v", p.Name, got)
+		}
+	}
+	if got := ExampleByName("nope"); got != nil {
+		t.Errorf("ExampleByName(\"nope\") = %s", got.Name)
+	}
+}
+
 func TestPaperExample1Shape(t *testing.T) {
 	p := PaperExample1()
 	if len(p.Arrays) != 3 || len(p.Statements) != 3 {

@@ -275,18 +275,40 @@ func SkewedCopy() *Program {
 	return p
 }
 
+// examples lists the built-in example programs under the names their
+// constructors give them.
+var examples = []struct {
+	name  string
+	build func() *Program
+}{
+	{"example1", PaperExample1},
+	{"example2", Example2Broadcast},
+	{"example3", Example3Gather},
+	{"example4", Example4Reduction},
+	{"example5", Example5},
+	{"matmul", MatMul},
+	{"gauss", Gauss},
+	{"transpose", Transpose},
+	{"jacobi", Jacobi},
+	{"skewedcopy", SkewedCopy},
+}
+
 // AllExamples returns every built-in example program, for sweep tests.
 func AllExamples() []*Program {
-	return []*Program{
-		PaperExample1(),
-		Example2Broadcast(),
-		Example3Gather(),
-		Example4Reduction(),
-		Example5(),
-		MatMul(),
-		Gauss(),
-		Transpose(),
-		Jacobi(),
-		SkewedCopy(),
+	progs := make([]*Program, len(examples))
+	for i, e := range examples {
+		progs[i] = e.build()
 	}
+	return progs
+}
+
+// ExampleByName builds the built-in example program called name, and
+// only that one; nil if there is none.
+func ExampleByName(name string) *Program {
+	for _, e := range examples {
+		if e.name == name {
+			return e.build()
+		}
+	}
+	return nil
 }

@@ -18,10 +18,10 @@
 package compiled
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bytes"
+	"strconv"
 
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/intmat"
 	"repro/internal/macro"
@@ -117,27 +117,105 @@ func macroGridDims(mc *macro.Macro) []int {
 	return dims
 }
 
-// formatCollectives renders selector choices deterministically —
-// sorted "pattern=algorithm" terms, "*n" multiplicities past one —
-// byte-identical to the engine's rendering.
-func formatCollectives(counts map[string]int) string {
-	if len(counts) == 0 {
+// choiceCount is one distinct collective choice of a point and how
+// many times it was chosen.
+type choiceCount struct {
+	pattern          collective.Pattern
+	scope, algorithm string
+	n                int
+}
+
+// choiceCounts tallies a point's collective choices by (pattern,
+// scope, algorithm). Points of the built-in examples and the
+// big-sweep suite carry at most four distinct choices; past the
+// fixed array's eight they spill to a slice. It lives on the
+// evaluating goroutine's stack, so no field may point into the array.
+type choiceCounts struct {
+	n     int
+	fixed [8]choiceCount
+	more  []choiceCount
+}
+
+func (c *choiceCounts) at(i int) *choiceCount {
+	if i < c.n {
+		return &c.fixed[i]
+	}
+	return &c.more[i-c.n]
+}
+
+func (c *choiceCounts) len() int { return c.n + len(c.more) }
+
+// add counts ch times more times.
+func (c *choiceCounts) add(ch collective.Choice, times int) {
+	for i := 0; i < c.len(); i++ {
+		e := c.at(i)
+		if e.pattern == ch.Pattern && e.scope == ch.Scope && e.algorithm == ch.Algorithm {
+			e.n += times
+			return
+		}
+	}
+	e := choiceCount{pattern: ch.Pattern, scope: ch.Scope, algorithm: ch.Algorithm, n: times}
+	if c.n < len(c.fixed) {
+		c.fixed[c.n] = e
+		c.n++
+		return
+	}
+	c.more = append(c.more, e)
+}
+
+// render renders the counted choices deterministically — sorted
+// "pattern=algorithm" (or "pattern@scope=algorithm") terms, "*n"
+// multiplicities past one — byte-identical to the engine's rendering
+// of collective.Choice.String terms. A rendering equal to reuse
+// returns reuse, so an unchanged summary allocates nothing.
+func (c *choiceCounts) render(reuse string) string {
+	total := c.len()
+	if total == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
+	// Terms go into one buffer, term i at [ends[i-1], ends[i]); order
+	// is insertion-sorted by term bytes, as sort.Strings orders them.
+	var termBuf [256]byte
+	var endBuf, orderBuf [len(c.fixed)]int
+	terms, ends, order := termBuf[:0], endBuf[:0], orderBuf[:0]
+	for i := 0; i < total; i++ {
+		e := c.at(i)
+		terms = append(terms, e.pattern.String()...)
+		if e.scope != "" {
+			terms = append(terms, '@')
+			terms = append(terms, e.scope...)
+		}
+		terms = append(terms, '=')
+		terms = append(terms, e.algorithm...)
+		ends = append(ends, len(terms))
+		order = append(order, i)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
+	term := func(i int) []byte {
+		start := 0
 		if i > 0 {
-			b.WriteByte(',')
+			start = ends[i-1]
 		}
-		b.WriteString(k)
-		if counts[k] > 1 {
-			fmt.Fprintf(&b, "*%d", counts[k])
+		return terms[start:ends[i]]
+	}
+	for i := 1; i < total; i++ {
+		for j := i; j > 0 && bytes.Compare(term(order[j]), term(order[j-1])) < 0; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	return b.String()
+	var outBuf [256]byte
+	out := outBuf[:0]
+	for k, i := range order {
+		if k > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, term(i)...)
+		if n := c.at(i).n; n > 1 {
+			out = append(out, '*')
+			out = strconv.AppendInt(out, int64(n), 10)
+		}
+	}
+	if string(out) == reuse {
+		return reuse
+	}
+	return string(out)
 }

@@ -41,41 +41,60 @@ func (a *Artifact) Eval(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dis
 // selection is a pure function of the machine spec, p, dims and
 // bytes, so a Selector may memoize on them; dims carries the macro's
 // virtual grid axes where they decide the scheduling mode, nil
-// otherwise. A nil Selector runs sel directly.
+// otherwise. A nil Selector runs the selection directly, and no sel
+// closure is built.
 type Selector func(p collective.Pattern, dims []int, bytes int64, sel func() collective.Choice) collective.Choice
-
-func (s Selector) run(p collective.Pattern, dims []int, bytes int64, sel func() collective.Choice) collective.Choice {
-	if s == nil {
-		return sel()
-	}
-	return s(p, dims, bytes, sel)
-}
 
 // EvalPlans prices plans at one machine point — spec, an n×n virtual
 // grid under dist, elemBytes per element — and aggregates them as the
 // engine reports a scenario. It is the program's one cost dispatch:
 // engine sessions and compiled artifacts both price through it.
 func EvalPlans(plans []PlanShape, pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64, sel Selector) Point {
+	tg := newTarget(spec)
+	return tg.eval(plans, pr, dist, n, elemBytes, sel, "")
+}
+
+// target is the machine instance of one spec, built once and priced
+// at any number of points. It lives on its caller's stack: pricing
+// never retains the mesh, so a warm point allocates nothing but its
+// Collectives string.
+type target struct {
+	spec scenarios.MachineSpec
+	mesh machine.Mesh2D
+	ft   machine.FatTree
+}
+
+func newTarget(spec scenarios.MachineSpec) target {
+	tg := target{spec: spec}
+	if spec.Kind == scenarios.Mesh {
+		tg.mesh = *machine.DefaultMesh(spec.P, spec.Q)
+	} else {
+		tg.ft = *machine.DefaultFatTree(spec.P)
+	}
+	return tg
+}
+
+// eval prices plans at one point of the target. When the point's
+// collective summary equals prev, prev itself is returned as the
+// summary and no string is built.
+func (tg *target) eval(plans []PlanShape, pr *Pricer, dist distrib.Dist2D, n int, elemBytes int64, sel Selector, prev string) Point {
 	var pt Point
-	counts := map[string]int{}
-	for _, pl := range plans {
+	var cc choiceCounts
+	for i := range plans {
+		pl := &plans[i]
 		pt.Classes[pl.Class]++
 		if pl.Vectorizable {
 			pt.Vectorizable++
 		}
-		t, choices := PlanTime(pl, pr, spec, dist, n, elemBytes, sel)
-		pt.ModelTime += t
-		for _, ch := range choices {
-			counts[ch.String()]++
-		}
+		pt.ModelTime += tg.planTime(pl, pr, dist, n, elemBytes, sel, &cc)
 	}
-	pt.Collectives = formatCollectives(counts)
+	pt.Collectives = cc.render(prev)
 	return pt
 }
 
-// PlanTime costs one communication plan on the machine model, in
-// model-µs, and reports which collective algorithms the cost-driven
-// selector chose for it (none for plans without a collective
+// planTime costs one communication plan on the machine model, in
+// model-µs, and counts the collective algorithms the cost-driven
+// selector chose for it into cc (none for plans without a collective
 // operation). A local plan costs nothing.
 //
 // Fat tree (CM-5-like): macro-communications go through the
@@ -92,91 +111,112 @@ func EvalPlans(plans []PlanShape, pr *Pricer, spec scenarios.MachineSpec, dist d
 // per-plane two-phase schedules that compete with the
 // machine-spanning execution, and a total one spans the machine.
 // Decomposed and general plans are simulated message by message
-// through the pricer's pattern templates (Pricer.PatternTime).
+// through the pricer's pattern templates (Pricer.patternTime).
 //
 // The machine spec may pin the selection to one named algorithm (the
 // "mesh8x8:flat" spec grammar) for ablations.
-func PlanTime(pl PlanShape, pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64, sel Selector) (float64, []collective.Choice) {
+func (tg *target) planTime(pl *PlanShape, pr *Pricer, dist distrib.Dist2D, n int, eb int64, sel Selector, cc *choiceCounts) float64 {
 	switch {
 	case pl.Class == core.Local:
-		return 0, nil
-	case spec.Kind == scenarios.Mesh:
-		return meshShapeTime(pr, spec, dist, n, elemBytes, pl, sel)
+		return 0
+	case tg.spec.Kind == scenarios.Mesh:
+		return tg.meshPlanTime(pl, pr, dist, n, eb, sel, cc)
 	default:
-		return fatTreeShapeTime(spec, n, elemBytes, pl, sel)
+		return tg.fatTreePlanTime(pl, n, eb, sel, cc)
 	}
 }
 
-// physMacroDims projects a macro's virtual grid axes onto the 2-D
-// mesh: axes ≥ 2 have no physical extent in the mesh model and are
-// dropped. A one-axis (p=1) macro is scheduled per line; multi-axis
-// (p ≥ 2) macros go per-plane — but if every axis projects away,
-// nothing pins the macro to a sub-grid and it is scheduled
-// machine-spanning (nil).
-func physMacroDims(vdims []int) []int {
-	var dims []int
+// physMacroDims appends to dst the projection of a macro's virtual
+// grid axes onto the 2-D mesh: axes ≥ 2 have no physical extent in
+// the mesh model and are dropped. A one-axis (p=1) macro is scheduled
+// per line; multi-axis (p ≥ 2) macros go per-plane — but if every
+// axis projects away, nothing pins the macro to a sub-grid and it is
+// scheduled machine-spanning.
+func physMacroDims(dst, vdims []int) []int {
 	for _, d := range vdims {
 		if d == 0 || d == 1 {
-			dims = append(dims, d)
+			dst = append(dst, d)
 		}
 	}
-	return dims
+	return dst
 }
 
-func meshShapeTime(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, eb int64, pl PlanShape, sel Selector) (float64, []collective.Choice) {
-	m := machine.DefaultMesh(spec.P, spec.Q)
-	force := spec.Algo
-	switch pl.Class {
-	case core.MacroComm:
-		pattern := collective.Broadcast
-		if pl.MacroReduction {
-			pattern = collective.Reduction
-		}
-		bytes := eb * int64(n)
-		dims := physMacroDims(pl.MacroDims)
-		var ch collective.Choice
-		// The virtual axes key the selection where they decide the
-		// scheduling mode: a p=1 axis-0 macro and a p≥2 {0,2} macro
-		// both project to physical axis 0 but select differently.
-		switch {
-		case len(pl.MacroDims) == 1 && len(dims) == 1:
-			ch = sel.run(pattern, pl.MacroDims, bytes, func() collective.Choice {
-				return pr.SelectMeshDim(m, pattern, dims[0], bytes, force)
-			})
-		case len(pl.MacroDims) >= 2 && len(dims) >= 1:
-			ch = sel.run(pattern, pl.MacroDims, bytes, func() collective.Choice {
-				return pr.SelectMeshMacro(m, pattern, dims, bytes, force)
-			})
-		default:
-			ch = sel.run(pattern, nil, bytes, func() collective.Choice {
-				return pr.SelectMesh(m, pattern, bytes, force)
-			})
-		}
-		return ch.Cost, []collective.Choice{ch}
+func macroPattern(pl *PlanShape) collective.Pattern {
+	if pl.MacroReduction {
+		return collective.Reduction
+	}
+	return collective.Broadcast
+}
+
+func (tg *target) meshPlanTime(pl *PlanShape, pr *Pricer, dist distrib.Dist2D, n int, eb int64, sel Selector, cc *choiceCounts) float64 {
+	if pl.Class != core.MacroComm {
+		return pr.patternTime(&tg.mesh, dist, pl, n, eb, tg.spec.Algo, cc)
+	}
+	pattern := macroPattern(pl)
+	bytes := eb * int64(n)
+	var ch collective.Choice
+	if sel == nil {
+		ch = selectMeshMacro(pr, &tg.mesh, pattern, pl.MacroDims, bytes, tg.spec.Algo)
+	} else {
+		ch = selectMeshMacroVia(sel, pr, tg.mesh, pattern, pl.MacroDims, bytes, tg.spec.Algo)
+	}
+	cc.add(ch, 1)
+	return ch.Cost
+}
+
+// selectMeshMacro selects a mesh macro-communication over its virtual
+// grid axes vdims: per line for a p=1 macro, per plane for a p ≥ 2
+// one, machine-spanning when no axis has a physical extent.
+func selectMeshMacro(pr *Pricer, m *machine.Mesh2D, pattern collective.Pattern, vdims []int, bytes int64, force string) collective.Choice {
+	var buf [2]int
+	dims := physMacroDims(buf[:0], vdims)
+	switch {
+	case len(vdims) == 1 && len(dims) == 1:
+		return pr.SelectMeshDim(m, pattern, dims[0], bytes, force)
+	case len(vdims) >= 2 && len(dims) >= 1:
+		return pr.SelectMeshMacro(m, pattern, dims, bytes, force)
 	default:
-		return pr.PatternTime(m, dist, pl, n, eb, force)
+		return pr.SelectMesh(m, pattern, bytes, force)
 	}
 }
 
-func fatTreeShapeTime(spec scenarios.MachineSpec, n int, eb int64, pl PlanShape, sel Selector) (float64, []collective.Choice) {
-	ft := machine.DefaultFatTree(spec.P)
+// selectMeshMacroVia runs selectMeshMacro through a Selector. The mesh
+// comes by value: the sel closure escapes, and this keeps the caller's
+// target off the heap.
+func selectMeshMacroVia(sel Selector, pr *Pricer, m machine.Mesh2D, pattern collective.Pattern, vdims []int, bytes int64, force string) collective.Choice {
+	// The virtual axes key the selection where they decide the
+	// scheduling mode: a p=1 axis-0 macro and a p≥2 {0,2} macro
+	// both project to physical axis 0 but select differently.
+	var buf [2]int
+	keyDims := vdims
+	if len(physMacroDims(buf[:0], vdims)) == 0 {
+		keyDims = nil
+	}
+	return sel(pattern, keyDims, bytes, func() collective.Choice {
+		return selectMeshMacro(pr, &m, pattern, vdims, bytes, force)
+	})
+}
+
+func (tg *target) fatTreePlanTime(pl *PlanShape, n int, eb int64, sel Selector, cc *choiceCounts) float64 {
+	ft := &tg.ft
 	switch pl.Class {
 	case core.MacroComm:
-		pattern := collective.Broadcast
-		if pl.MacroReduction {
-			pattern = collective.Reduction
-		}
+		pattern := macroPattern(pl)
 		bytes := eb
 		if pl.Vectorizable {
 			bytes = eb * int64(n)
 		}
-		ch := sel.run(pattern, nil, bytes, func() collective.Choice {
-			return collective.SelectFatTree(ft, pattern, bytes, spec.Algo)
-		})
-		if pl.Vectorizable {
-			return ch.Cost, []collective.Choice{ch}
+		var ch collective.Choice
+		if sel == nil {
+			ch = collective.SelectFatTree(ft, pattern, bytes, tg.spec.Algo)
+		} else {
+			ch = selectFatTreeVia(sel, *ft, pattern, bytes, tg.spec.Algo)
 		}
-		return float64(n) * ch.Cost, []collective.Choice{ch}
+		cc.add(ch, 1)
+		if pl.Vectorizable {
+			return ch.Cost
+		}
+		return float64(n) * ch.Cost
 	case core.Decomposed:
 		k := len(pl.Factors)
 		if k == 0 {
@@ -184,13 +224,21 @@ func fatTreeShapeTime(spec scenarios.MachineSpec, n int, eb int64, pl PlanShape,
 		}
 		one := func(bytes int64) float64 { return float64(k) * ft.Translation(bytes) }
 		if pl.Vectorizable {
-			return one(eb * int64(n)), nil
+			return one(eb * int64(n))
 		}
-		return float64(n) * one(eb), nil
+		return float64(n) * one(eb)
 	default:
 		if pl.Vectorizable {
-			return ft.General(1, eb*int64(n)), nil
+			return ft.General(1, eb*int64(n))
 		}
-		return float64(n) * ft.General(1, eb), nil
+		return float64(n) * ft.General(1, eb)
 	}
+}
+
+// selectFatTreeVia runs a fat-tree selection through a Selector, the
+// tree by value as in selectMeshMacroVia.
+func selectFatTreeVia(sel Selector, ft machine.FatTree, pattern collective.Pattern, bytes int64, force string) collective.Choice {
+	return sel(pattern, nil, bytes, func() collective.Choice {
+		return collective.SelectFatTree(&ft, pattern, bytes, force)
+	})
 }

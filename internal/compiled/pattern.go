@@ -58,10 +58,11 @@ func (pr *Pricer) pattern(m *machine.Mesh2D, k patternKey, t *intmat.Mat, off []
 		pr.misses.Add(1)
 	}
 	slot.once.Do(func() {
+		hm := heapMesh(m)
 		if k.permute {
-			slot.t = collective.CompilePattern(m, machine.AffineComm2D(m, k.dist, t, off, k.n, k.n, 1), false)
+			slot.t = collective.CompilePattern(hm, machine.AffineComm2D(hm, k.dist, t, off, k.n, k.n, 1), false)
 		} else {
-			slot.t = collective.CompilePattern(m, machine.GeneralComm2D(m, k.dist, t, nil, k.n, k.n, 1), true)
+			slot.t = collective.CompilePattern(hm, machine.GeneralComm2D(hm, k.dist, t, nil, k.n, k.n, 1), true)
 		}
 	})
 	pr.evals.Add(1)
@@ -80,7 +81,8 @@ func newPatternKey(permute bool, m *machine.Mesh2D, dist distrib.Dist2D, t *intm
 // communication.
 func (pr *Pricer) GeneralTime(m *machine.Mesh2D, dist distrib.Dist2D, t *intmat.Mat, n int, eb int64) float64 {
 	if pr == nil || eb < 0 || !is2x2(t) {
-		return m.Time(machine.GeneralComm2D(m, dist, t, nil, n, n, eb))
+		hm := heapMesh(m)
+		return hm.Time(machine.GeneralComm2D(hm, dist, t, nil, n, n, eb))
 	}
 	return pr.pattern(m, newPatternKey(false, m, dist, t, nil, n), t, nil).Time(m, eb)
 }
@@ -91,13 +93,15 @@ func (pr *Pricer) GeneralTime(m *machine.Mesh2D, dist distrib.Dist2D, t *intmat.
 // phase.
 func (pr *Pricer) SelectPermute(m *machine.Mesh2D, dist distrib.Dist2D, t *intmat.Mat, off []int64, n int, eb int64, force string) collective.Choice {
 	if pr == nil || eb < 0 || !is2x2(t) {
-		return collective.SelectPermute(m, machine.AffineComm2D(m, dist, t, off, n, n, eb), force)
+		hm := heapMesh(m)
+		return collective.SelectPermute(hm, machine.AffineComm2D(hm, dist, t, off, n, n, eb), force)
 	}
 	return pr.pattern(m, newPatternKey(true, m, dist, t, off, n), t, off).SelectPermute(m, eb, force)
 }
 
-// PatternTime prices a decomposed or general plan on the mesh with an
-// n×n virtual grid under dist, eb bytes per element.
+// patternTime prices a decomposed or general plan on the mesh with an
+// n×n virtual grid under dist, eb bytes per element, and counts the
+// permute algorithms it selects into cc.
 //
 // A decomposed plan whose factors are 2×2 runs its phases one after
 // the other, right to left as in the matrix product, each phase's
@@ -106,29 +110,25 @@ func (pr *Pricer) SelectPermute(m *machine.Mesh2D, dist distrib.Dist2D, t *intma
 // unit-shift phases. A general plan executes its data-flow matrix
 // directly, element by element — the transpose [[0,1],[1,0]] stands
 // in when the matrix is unknown or not 2×2.
-func (pr *Pricer) PatternTime(m *machine.Mesh2D, dist distrib.Dist2D, pl PlanShape, n int, eb int64, force string) (float64, []collective.Choice) {
+func (pr *Pricer) patternTime(m *machine.Mesh2D, dist distrib.Dist2D, pl *PlanShape, n int, eb int64, force string, cc *choiceCounts) float64 {
 	if pl.Class != core.Decomposed {
 		t := pl.Dataflow
 		if !is2x2(t) {
 			t = standInGeneral
 		}
-		return pr.GeneralTime(m, dist, t, n, eb), nil
+		return pr.GeneralTime(m, dist, t, n, eb)
 	}
 	if len(pl.Factors) > 0 && is2x2(pl.Factors[0]) {
 		total := 0.0
-		choices := make([]collective.Choice, 0, len(pl.Factors))
 		for idx := len(pl.Factors) - 1; idx >= 0; idx-- {
 			ch := pr.SelectPermute(m, dist, pl.Factors[idx], nil, n, eb, force)
 			total += ch.Cost
-			choices = append(choices, ch)
+			cc.add(ch, 1)
 		}
-		return total, choices
+		return total
 	}
 	k := max(len(pl.Factors), 1)
 	ch := pr.SelectPermute(m, dist, unitShift, unitShiftOff, n, eb, force)
-	choices := make([]collective.Choice, k)
-	for i := range choices {
-		choices[i] = ch
-	}
-	return float64(k) * ch.Cost, choices
+	cc.add(ch, k)
+	return float64(k) * ch.Cost
 }

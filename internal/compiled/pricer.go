@@ -1,8 +1,6 @@
 package compiled
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +29,8 @@ import (
 // guarding call sites.
 type Pricer struct {
 	mu   sync.Mutex
-	tmpl map[string]*tmplSlot
-	bld  map[string]*builderSlot
+	tmpl map[templateKey]*tmplSlot
+	bld  map[[2]int]*builderSlot
 	pat  map[patternKey]*patternSlot
 
 	hits, misses atomic.Uint64
@@ -57,22 +55,30 @@ type builderSlot struct {
 
 // NewPricer returns an empty template cache.
 func NewPricer() *Pricer {
-	return &Pricer{tmpl: map[string]*tmplSlot{}, bld: map[string]*builderSlot{}, pat: map[patternKey]*patternSlot{}}
+	return &Pricer{tmpl: map[templateKey]*tmplSlot{}, bld: map[[2]int]*builderSlot{}, pat: map[patternKey]*patternSlot{}}
 }
 
 // builder returns the geometry's shared template builder, creating it
 // on first use. Templates are calibration-independent, so one builder
 // serves every mesh instance of the geometry.
 func (pr *Pricer) builder(m *machine.Mesh2D) *builderSlot {
-	k := fmt.Sprintf("%dx%d", m.P, m.Q)
+	k := [2]int{m.P, m.Q}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	bs, ok := pr.bld[k]
 	if !ok {
-		bs = &builderSlot{b: collective.NewTemplateBuilder(m)}
+		bs = &builderSlot{b: collective.NewTemplateBuilder(heapMesh(m))}
 		pr.bld[k] = bs
 	}
 	return bs
+}
+
+// heapMesh copies a mesh for code that keeps it. Pricing callers pass
+// meshes they own, often on their stack; only compilation and cold
+// selection retain one, so only they pay for the copy.
+func heapMesh(m *machine.Mesh2D) *machine.Mesh2D {
+	c := *m
+	return &c
 }
 
 // PricerStats snapshots the pricer's counters.
@@ -102,32 +108,47 @@ func (pr *Pricer) Stats() PricerStats {
 	}
 }
 
+// templateMode is the selection structure a template compiles.
+type templateMode uint8
+
+const (
+	modeTotal templateMode = iota // SelectMesh
+	modeDim                       // SelectMeshDim
+	modeMacro                     // SelectMeshMacro
+)
+
+// maxKeyDims bounds the dims a template key holds. A macro's physical
+// dims are distinct mesh axes, so real keys hold at most two; longer
+// dims lists select cold.
+const maxKeyDims = 4
+
 // templateKey identifies one selection structure. Everything
 // byte-independent that Select* reads is in the key; bytes and the
 // link-cost calibration are evaluation inputs.
-func templateKey(mode string, m *machine.Mesh2D, p collective.Pattern, dims []int, force string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%dx%d|%s|", mode, m.P, m.Q, p)
-	for i, d := range dims {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", d)
-	}
-	b.WriteByte('|')
-	b.WriteString(force)
-	return b.String()
+type templateKey struct {
+	mode    templateMode
+	p, q    int
+	pattern collective.Pattern
+	ndims   int
+	dims    [maxKeyDims]int
+	force   string
 }
 
-// template returns the compiled template for key, compiling it at
-// most once concurrently through the geometry's shared builder, and
-// counts one evaluation.
-func (pr *Pricer) template(m *machine.Mesh2D, key string, build func(*collective.TemplateBuilder) *collective.MeshTemplate) *collective.MeshTemplate {
+func newTemplateKey(mode templateMode, m *machine.Mesh2D, p collective.Pattern, dims []int, force string) templateKey {
+	k := templateKey{mode: mode, p: m.P, q: m.Q, pattern: p, ndims: len(dims), force: force}
+	copy(k.dims[:], dims)
+	return k
+}
+
+// template returns the compiled template for k, compiling it at most
+// once concurrently through the geometry's shared builder, and counts
+// one evaluation.
+func (pr *Pricer) template(m *machine.Mesh2D, k templateKey) *collective.MeshTemplate {
 	pr.mu.Lock()
-	slot, ok := pr.tmpl[key]
+	slot, ok := pr.tmpl[k]
 	if !ok {
 		slot = &tmplSlot{}
-		pr.tmpl[key] = slot
+		pr.tmpl[k] = slot
 	}
 	pr.mu.Unlock()
 	if ok {
@@ -135,45 +156,50 @@ func (pr *Pricer) template(m *machine.Mesh2D, key string, build func(*collective
 	} else {
 		pr.misses.Add(1)
 	}
-	slot.once.Do(func() {
-		bs := pr.builder(m)
-		bs.mu.Lock()
-		defer bs.mu.Unlock()
-		slot.t = build(bs.b)
-	})
+	slot.once.Do(func() { slot.t = pr.compile(m, k) })
 	pr.evals.Add(1)
 	return slot.t
+}
+
+// compile builds the template k names through the geometry's shared
+// builder.
+func (pr *Pricer) compile(m *machine.Mesh2D, k templateKey) *collective.MeshTemplate {
+	bs := pr.builder(m)
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	switch k.mode {
+	case modeDim:
+		return bs.b.Dim(k.pattern, k.dims[0], k.force)
+	case modeMacro:
+		return bs.b.Macro(k.pattern, k.dims[:k.ndims], k.force)
+	default:
+		return bs.b.Total(k.pattern, k.force)
+	}
 }
 
 // SelectMesh is collective.SelectMesh(m, p, 0, bytes, force) through
 // the template cache.
 func (pr *Pricer) SelectMesh(m *machine.Mesh2D, p collective.Pattern, bytes int64, force string) collective.Choice {
 	if pr == nil {
-		return collective.SelectMesh(m, p, 0, bytes, force)
+		return collective.SelectMesh(heapMesh(m), p, 0, bytes, force)
 	}
-	return pr.template(m, templateKey("total", m, p, nil, force), func(b *collective.TemplateBuilder) *collective.MeshTemplate {
-		return b.Total(p, force)
-	}).Eval(m, bytes)
+	return pr.template(m, newTemplateKey(modeTotal, m, p, nil, force)).Eval(m, bytes)
 }
 
 // SelectMeshDim is collective.SelectMeshDim through the template
 // cache.
 func (pr *Pricer) SelectMeshDim(m *machine.Mesh2D, p collective.Pattern, dim int, bytes int64, force string) collective.Choice {
 	if pr == nil {
-		return collective.SelectMeshDim(m, p, dim, bytes, force)
+		return collective.SelectMeshDim(heapMesh(m), p, dim, bytes, force)
 	}
-	return pr.template(m, templateKey("dim", m, p, []int{dim}, force), func(b *collective.TemplateBuilder) *collective.MeshTemplate {
-		return b.Dim(p, dim, force)
-	}).Eval(m, bytes)
+	return pr.template(m, newTemplateKey(modeDim, m, p, []int{dim}, force)).Eval(m, bytes)
 }
 
 // SelectMeshMacro is collective.SelectMeshMacro through the template
 // cache.
 func (pr *Pricer) SelectMeshMacro(m *machine.Mesh2D, p collective.Pattern, dims []int, bytes int64, force string) collective.Choice {
-	if pr == nil {
-		return collective.SelectMeshMacro(m, p, dims, bytes, force)
+	if pr == nil || len(dims) > maxKeyDims {
+		return collective.SelectMeshMacro(heapMesh(m), p, dims, bytes, force)
 	}
-	return pr.template(m, templateKey("macro", m, p, dims, force), func(b *collective.TemplateBuilder) *collective.MeshTemplate {
-		return b.Macro(p, dims, force)
-	}).Eval(m, bytes)
+	return pr.template(m, newTemplateKey(modeMacro, m, p, dims, force)).Eval(m, bytes)
 }

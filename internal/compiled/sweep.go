@@ -1,7 +1,7 @@
 package compiled
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/distrib"
 	"repro/internal/scenarios"
@@ -26,17 +26,22 @@ type SweepRow struct {
 // so switch points along the payload axis land on adjacent rows. The
 // same sweep backs POST /v1/lattice and resopt -lattice. Returns nil
 // for an errored artifact.
+//
+// Each machine instance is built once, not once per point, and a row
+// whose collective summary repeats the previous row's shares its
+// string: a warm sweep allocates its rows and little else.
 func (g *Grid) Sweep(a *Artifact, pr *Pricer, dist distrib.Dist2D, n int) []SweepRow {
 	if a.Err != "" {
 		return nil
 	}
-	bytes := append([]int64(nil), g.Bytes...)
-	sort.Slice(bytes, func(i, j int) bool { return bytes[i] < bytes[j] })
+	bytes := slices.Clone(g.Bytes)
+	slices.Sort(bytes)
 	rows := make([]SweepRow, 0, g.Points())
 	for _, ms := range g.Machines {
+		tg := newTarget(ms)
 		prev, first := "", true
 		for _, eb := range bytes {
-			pt := a.Eval(pr, ms, dist, n, eb)
+			pt := tg.eval(a.Plans, pr, dist, n, eb, nil, prev)
 			row := SweepRow{Machine: ms, ElemBytes: eb, Point: pt}
 			if !first && pt.Collectives != prev {
 				row.Switched, row.SwitchedFrom = true, prev

@@ -142,6 +142,47 @@ func BenchmarkUncompiledLattice(b *testing.B) {
 	b.ReportMetric(sink, "model-µs")
 }
 
+// BenchmarkUncompiledLatticeWarm is the realistic baseline for the
+// compiled tier: the same 64 points optimized one by one through a
+// reused session (one worker, as the compiled sweep is sequential)
+// whose plan and selection memos and pricer are already warm, so each
+// point is a plan-tier hit plus memoized costing — what a client
+// sweeping a lattice over /v1/optimize gets from a warm daemon.
+func BenchmarkUncompiledLatticeWarm(b *testing.B) {
+	g := benchLatticeGrid(b)
+	base := benchLatticeNest()
+	batch := make([]scenarios.Scenario, 0, g.Points())
+	for _, ms := range g.Machines {
+		for _, eb := range g.Bytes {
+			sc := base
+			sc.Machine = ms
+			sc.ElemBytes = eb
+			batch = append(batch, sc)
+		}
+	}
+	s := NewSession(Options{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	sweep := func() float64 {
+		sum := 0.0
+		for i := range batch {
+			res, err := s.Optimize(ctx, &batch[i])
+			if err != nil || res.Err != "" {
+				b.Fatal(err, res.Err)
+			}
+			sum += res.ModelTime
+		}
+		return sum
+	}
+	sweep() // warm every memo
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += sweep()
+	}
+	b.ReportMetric(sink, "model-µs")
+}
+
 // BenchmarkCompiledCompile isolates the structural phase: one full
 // compile of the benchmark nest.
 func BenchmarkCompiledCompile(b *testing.B) {
@@ -174,6 +215,29 @@ func BenchmarkCompiledEvalWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pt := art.Eval(pr, g.Machines[i%len(g.Machines)], base.Dist, base.N, g.Bytes[i%len(g.Bytes)])
 		sink += pt.ModelTime
+	}
+	b.ReportMetric(sink, "model-µs")
+}
+
+// BenchmarkCompiledSweepWarm is the compiled counterpart of
+// BenchmarkUncompiledLatticeWarm: the same 64 points as one
+// Grid.Sweep off an artifact whose templates the pricer already
+// holds.
+func BenchmarkCompiledSweepWarm(b *testing.B) {
+	g := benchLatticeGrid(b)
+	base := benchLatticeNest()
+	pr := compiled.NewPricer()
+	art := compiled.Compile(&base)
+	if art.Err != "" {
+		b.Fatal(art.Err)
+	}
+	g.Sweep(art, pr, base.Dist, base.N) // warm every template
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		for _, row := range g.Sweep(art, pr, base.Dist, base.N) {
+			sink += row.Point.ModelTime
+		}
 	}
 	b.ReportMetric(sink, "model-µs")
 }

@@ -14,9 +14,18 @@ import (
 
 // planTime prices one plan exactly as runOne does: through the
 // compiled cost dispatch, with collective selections memoized in
-// cache (nil: cold).
+// cache (nil: cold). It returns the choices the selector made (the
+// macro-communication selections).
 func planTime(ctx context.Context, sc *scenarios.Scenario, pl compiled.PlanShape, cache *Cache, pricer *compiled.Pricer, acc *selAcc) (float64, []collective.Choice) {
-	return compiled.PlanTime(pl, pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, selector(ctx, cache, acc, sc.Machine))
+	var choices []collective.Choice
+	sel := selector(ctx, cache, acc, sc.Machine)
+	record := func(p collective.Pattern, dims []int, bytes int64, run func() collective.Choice) collective.Choice {
+		ch := sel(p, dims, bytes, run)
+		choices = append(choices, ch)
+		return ch
+	}
+	pt := compiled.EvalPlans([]compiled.PlanShape{pl}, pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, record)
+	return pt.ModelTime, choices
 }
 
 // meshSpecs are the mesh shapes of the default, skew and big-mesh

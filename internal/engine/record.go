@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -88,9 +89,21 @@ type planEntry struct {
 // and timed whatever the cache. When ctx carries an active trace it
 // adds an "optimize" span with "alignment", "macro", "decompose"
 // (from core) and an accumulated "kernel" child.
-func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) planEntry {
+//
+// optimizeCtx is the recover boundary of the paper core: every path
+// that computes a plan goes through it, so a panic (an arithmetic
+// overflow on a hostile nest, say) becomes the entry's error —
+// "internal error: …" — instead of a dead worker or handler and a
+// zero entry left in the plan tier.
+func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) (ent planEntry) {
 	ctx, sp := trace.StartSpan(ctx, "optimize")
 	t0 := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			ent = planEntry{computeUs: usSince(t0), err: fmt.Sprintf("internal error: %v", r)}
+			sp.Set("error", ent.err).End()
+		}
+	}()
 	k := &intmat.Kernels{}
 	if cache != nil {
 		// Only a non-nil *Cache becomes the interface: a nil one
@@ -102,7 +115,7 @@ func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) plan
 		trace.AddSpan(ctx, "kernel", t0, k.Time,
 			map[string]string{"ops": strconv.Itoa(k.Ops)})
 	}
-	ent := planEntry{
+	ent = planEntry{
 		computeUs: usSince(t0),
 		kernelUs:  float64(k.Time) / 1e3,
 		kernelOps: k.Ops,

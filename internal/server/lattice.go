@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/compiled"
+	"repro/internal/scenarios"
 )
 
 // handleLattice serves POST /v1/lattice: one nest swept over a
@@ -14,10 +15,13 @@ import (
 // the compiled-plan tier (memory → compiled store tier → one
 // structural compile), then every grid point is priced by template
 // evaluation against the shared session pricer — the sweep never
-// re-optimizes per point. Rows stream as NDJSON in grid order
-// (machines as declared, payloads ascending), with switch points —
-// payload thresholds where the selected collective schedule changes —
-// flagged in place, and a summary line terminates the stream.
+// re-optimizes per point. The whole sweep runs first; its rows are
+// then written as NDJSON in grid order (machines as declared, payloads
+// ascending) through the response writer's buffer, with no per-row
+// flush. Switch points — payload thresholds where the selected
+// collective schedule changes — are flagged in place, and a summary
+// line terminates the stream. Writing stops at the first failed write
+// (the client has gone).
 func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 	s.lattices.Add(1)
 	var req api.LatticeRequest
@@ -59,14 +63,19 @@ func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
 	switches := 0
+	var spec scenarios.MachineSpec
+	machine := ""
 	for _, row := range rows {
 		if row.Switched {
 			switches++
 		}
-		enc.Encode(api.LatticeRow{
-			Machine:      row.Machine.String(),
+		// Rows are grouped by machine: render each machine name once.
+		if machine == "" || row.Machine != spec {
+			spec, machine = row.Machine, row.Machine.String()
+		}
+		if err := enc.Encode(api.LatticeRow{
+			Machine:      machine,
 			ElemBytes:    row.ElemBytes,
 			Classes:      row.Point.Classes,
 			Vectorizable: row.Point.Vectorizable,
@@ -74,9 +83,8 @@ func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 			Collectives:  row.Point.Collectives,
 			Switched:     row.Switched,
 			SwitchedFrom: row.SwitchedFrom,
-		})
-		if flusher != nil {
-			flusher.Flush()
+		}); err != nil {
+			return // the client is gone
 		}
 	}
 	enc.Encode(api.LatticeSummary{Summary: api.LatticeSummaryBody{

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -197,5 +200,98 @@ func TestLatticeErrors(t *testing.T) {
 		api.LatticeRequest{Example: "matmul", Grid: fmt.Sprintf("mesh{2..%d}x{2..%d}:bytes=1..1M", 1<<20, 1<<20)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized grid answered %d: %s", resp.StatusCode, body)
+	}
+}
+
+// overflowNest makes the alignment step overflow int64 (a panic in
+// ratmat.ScaledInt) on every attempt.
+const overflowNest = `nest big2 {
+  array a[2]
+  array b[2]
+  array c[2]
+  loop (i, j) {
+    S: c[i, j] += a[4000000000*i + 3*j, 7*i + 5000000000*j]
+    T: b[j, i] += c[2*i + 3000000001*j, i]
+    U: a[i, j] += b[3000000007*i + 5*j, 11*i + 4000000009*j]
+  }
+}`
+
+// TestOptimizePanicIsTypedError: a nest whose optimization panics is
+// answered with a typed 422 on /v1/lattice (which compiles on the
+// handler goroutine) and /v1/optimize (an engine worker) — on every
+// attempt, so no zero-plan entry is cached after the first — and the
+// server keeps answering afterwards.
+func TestOptimizePanicIsTypedError(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Store: st})
+	for _, ep := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/lattice", api.LatticeRequest{Nest: overflowNest, Grid: "mesh4x4:bytes=1k..4k"}},
+		{"/v1/optimize", api.OptimizeRequest{Nest: overflowNest, Machine: "mesh4x4"}},
+	} {
+		for attempt := 1; attempt <= 2; attempt++ {
+			resp, body := postJSON(t, ts.Client(), ts.URL+ep.path, ep.req)
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
+				t.Fatalf("%s attempt %d: status %d, not an error envelope: %s", ep.path, attempt, resp.StatusCode, body)
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != api.CodeUnprocessable ||
+				!strings.Contains(env.Error.Message, "internal error") {
+				t.Fatalf("%s attempt %d: got %d %+v", ep.path, attempt, resp.StatusCode, env.Error)
+			}
+		}
+	}
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "matmul"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("server stopped answering after the panics: %d %s", resp.StatusCode, body)
+	}
+}
+
+// latticeWriter is a response writer that counts writes and flushes;
+// with dead set, its peer has gone and every write fails.
+type latticeWriter struct {
+	header          http.Header
+	dead            bool
+	writes, flushes int
+	body            bytes.Buffer
+}
+
+func (w *latticeWriter) Header() http.Header { return w.header }
+func (w *latticeWriter) WriteHeader(int)     {}
+func (w *latticeWriter) Flush()              { w.flushes++ }
+func (w *latticeWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.dead {
+		return 0, errors.New("connection reset by peer")
+	}
+	return w.body.Write(p)
+}
+
+// TestLatticeWrites: the handler writes the computed rows without
+// flushing after each one, and after a failed write (the client has
+// gone) it writes nothing more.
+func TestLatticeWrites(t *testing.T) {
+	srv, _ := newTestServer(t, Options{})
+	body, err := json.Marshal(api.LatticeRequest{Example: "matmul", Grid: "mesh{4..32}x8:bytes=1k..32M"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dead := range []bool{false, true} {
+		w := &latticeWriter{header: http.Header{}, dead: dead}
+		srv.handleLattice(w, httptest.NewRequest(http.MethodPost, "/v1/lattice", bytes.NewReader(body)))
+		if w.flushes != 0 {
+			t.Fatalf("dead=%v: handler flushed %d times, want 0", dead, w.flushes)
+		}
+		if dead && w.writes != 1 {
+			t.Fatalf("handler wrote %d times to a dead client, want 1", w.writes)
+		}
+		if lines := strings.Count(w.body.String(), "\n"); !dead && lines != 65 {
+			t.Fatalf("handler wrote %d lines, want 64 rows and a summary", lines)
+		}
 	}
 }

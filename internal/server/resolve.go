@@ -40,12 +40,7 @@ func scenarioFromRequest(req *api.OptimizeRequest) (*scenarios.Scenario, *api.Er
 	case req.Example != "" && req.Nest != "":
 		return nil, badReq(`give "example" or "nest", not both`)
 	case req.Example != "":
-		for _, p := range affine.AllExamples() {
-			if p.Name == req.Example {
-				prog = p
-			}
-		}
-		if prog == nil {
+		if prog = affine.ExampleByName(req.Example); prog == nil {
 			return nil, badReq("unknown example %q", req.Example)
 		}
 	case req.Nest != "":
