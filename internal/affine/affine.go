@@ -12,7 +12,8 @@ package affine
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
+	"sync/atomic"
 
 	"repro/internal/intmat"
 )
@@ -36,20 +37,35 @@ type Access struct {
 	Reduction bool
 }
 
-// String renders the access like "a[F=[1 0; 0 1] c=(0,0)]".
+// String renders the access like "read a F=[1 0; 0 1] c=(0,0)".
 func (a Access) String() string {
-	kind := "read"
+	return string(a.appendText(nil))
+}
+
+// appendText appends the String rendering of a to dst.
+func (a Access) appendText(dst []byte) []byte {
+	kind := "read "
 	if a.Write {
-		kind = "write"
+		kind = "write "
 	}
 	if a.Reduction {
-		kind = "reduce"
+		kind = "reduce "
 	}
-	var c []string
-	for _, v := range a.C {
-		c = append(c, fmt.Sprint(v))
+	dst = append(append(dst, kind...), a.Array...)
+	dst = append(dst, " F="...)
+	if a.F == nil {
+		dst = append(dst, "<nil>"...)
+	} else {
+		dst = a.F.AppendString(dst)
 	}
-	return fmt.Sprintf("%s %s F=%v c=(%s)", kind, a.Array, a.F, strings.Join(c, ","))
+	dst = append(dst, " c=("...)
+	for i, v := range a.C {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, v, 10)
+	}
+	return append(dst, ')')
 }
 
 // Statement is one statement of the nest with its depth (number of
@@ -77,10 +93,26 @@ func (s *Statement) ScheduleOrEmpty() *intmat.Mat {
 }
 
 // Program is an affine (multi-)loop nest.
+//
+// A program is immutable once its text has been read (String,
+// PrefixedString, or a scenario's plan key built from them): the
+// rendering is memoized for the life of the program, and programs
+// are shared read-only across concurrent workers.
 type Program struct {
 	Name       string
 	Arrays     []*Array
 	Statements []*Statement
+
+	// text memoizes the rendering; nil until first read.
+	text atomic.Pointer[programText]
+}
+
+// programText is a memoized program rendering behind the prefix most
+// recently asked of PrefixedString: s[:n] is the prefix, s[n:] the
+// program text.
+type programText struct {
+	s string
+	n int
 }
 
 // Array returns the array with the given name, or nil.
@@ -216,22 +248,57 @@ func pad(c []int64, n int) []int64 {
 	return out
 }
 
-// String gives a compact multi-line rendering of the program.
+// String gives a compact multi-line rendering of the program. It is
+// canonical — every array, depth, schedule and access matrix is in
+// it, so equal texts mean equal programs — and computed once per
+// program.
 func (p *Program) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "nest %s\n", p.Name)
+	if t := p.text.Load(); t != nil {
+		return t.s[t.n:]
+	}
+	s := string(p.appendText(nil))
+	p.text.CompareAndSwap(nil, &programText{s: s})
+	return s
+}
+
+// PrefixedString returns prefix followed by p.String(). The result is
+// memoized for the most recent prefix: asking again with an equal
+// prefix returns the same string without rendering or copying, which
+// is what keeps a plan-key lookup on a long-lived program free.
+func (p *Program) PrefixedString(prefix []byte) string {
+	t := p.text.Load()
+	if t != nil && t.s[:t.n] == string(prefix) {
+		return t.s
+	}
+	text := p.String()
+	b := make([]byte, 0, len(prefix)+len(text))
+	s := string(append(append(b, prefix...), text...))
+	p.text.Store(&programText{s: s, n: len(prefix)})
+	return s
+}
+
+// appendText appends the program rendering to dst.
+func (p *Program) appendText(dst []byte) []byte {
+	dst = append(append(dst, "nest "...), p.Name...)
+	dst = append(dst, '\n')
 	for _, a := range p.Arrays {
-		fmt.Fprintf(&b, "  array %s[%d]\n", a.Name, a.Dim)
+		dst = append(append(dst, "  array "...), a.Name...)
+		dst = append(dst, '[')
+		dst = strconv.AppendInt(dst, int64(a.Dim), 10)
+		dst = append(dst, "]\n"...)
 	}
 	for _, s := range p.Statements {
-		fmt.Fprintf(&b, "  %s (depth %d", s.Name, s.Depth)
+		dst = append(append(dst, "  "...), s.Name...)
+		dst = append(dst, " (depth "...)
+		dst = strconv.AppendInt(dst, int64(s.Depth), 10)
 		if th := s.ScheduleOrEmpty(); th.Rows() > 0 {
-			fmt.Fprintf(&b, ", schedule %v", th)
+			dst = th.AppendString(append(dst, ", schedule "...))
 		}
-		b.WriteString(")\n")
+		dst = append(dst, ")\n"...)
 		for _, acc := range s.Accesses {
-			fmt.Fprintf(&b, "    %s\n", acc)
+			dst = acc.appendText(append(dst, "    "...))
+			dst = append(dst, '\n')
 		}
 	}
-	return b.String()
+	return dst
 }

@@ -3,6 +3,7 @@ package affine
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/intmat"
 )
@@ -16,11 +17,12 @@ func TestAllExamplesValidate(t *testing.T) {
 }
 
 // TestExampleByName: each example is found under the name its
-// constructor gives it, and an unknown name finds nothing.
+// constructor gives it, as the one shared instance AllExamples also
+// returns, and an unknown name finds nothing.
 func TestExampleByName(t *testing.T) {
 	for _, p := range AllExamples() {
-		if got := ExampleByName(p.Name); got == nil || got.Name != p.Name {
-			t.Errorf("ExampleByName(%q) = %v", p.Name, got)
+		if got := ExampleByName(p.Name); got != p {
+			t.Errorf("ExampleByName(%q) = %p, AllExamples has %p", p.Name, got, p)
 		}
 	}
 	if got := ExampleByName("nope"); got != nil {
@@ -178,5 +180,48 @@ func TestLookupMissing(t *testing.T) {
 	p := PaperExample1()
 	if p.Array("nope") != nil || p.Statement("nope") != nil {
 		t.Fatal("lookup of missing name should return nil")
+	}
+}
+
+// TestProgramText: String renders the program once and keeps
+// returning that text; PrefixedString puts a prefix in front of the
+// same text and hands back one string per prefix until the prefix
+// changes.
+func TestProgramText(t *testing.T) {
+	p := &Program{Name: "t"}
+	p.AddArray("a", 2)
+	p.NewStatement("S", "i", "j").
+		Write("a", intmat.Identity(2)).
+		Read("a", intmat.New(2, 2, -3, 4000000000, 0, 1), 1, -2).
+		Seq(1)
+	p.Statements[0].Accesses = append(p.Statements[0].Accesses, Access{Array: "a", C: []int64{0, 0}, Reduction: true, Write: true})
+	want := "nest t\n" +
+		"  array a[2]\n" +
+		"  S (depth 2, schedule [0 1])\n" +
+		"    write a F=[1 0; 0 1] c=(0,0)\n" +
+		"    read a F=[-3 4000000000; 0 1] c=(1,-2)\n" +
+		"    reduce a F=<nil> c=(0,0)\n"
+	if got := p.String(); got != want {
+		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
+	}
+	if got := string(p.appendText(nil)); got != want {
+		t.Fatalf("rendering moved:\n%s", got)
+	}
+
+	k1 := p.PrefixedString([]byte("m=2|"))
+	if k1 != "m=2|"+want {
+		t.Fatalf("PrefixedString = %q", k1)
+	}
+	if k := p.PrefixedString([]byte("m=2|")); unsafe.StringData(k) != unsafe.StringData(k1) {
+		t.Error("same prefix rendered a new key")
+	}
+	if k := p.PrefixedString([]byte("m=3|")); k != "m=3|"+want {
+		t.Errorf("PrefixedString(m=3) = %q", k)
+	}
+	if got := p.String(); got != want {
+		t.Errorf("String() after prefixing = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.PrefixedString([]byte("m=3|")) }); n != 0 {
+		t.Errorf("memoized PrefixedString allocates %.0f times", n)
 	}
 }

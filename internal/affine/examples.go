@@ -1,6 +1,10 @@
 package affine
 
-import "repro/internal/intmat"
+import (
+	"sync"
+
+	"repro/internal/intmat"
+)
 
 // PaperExample1 returns the motivating example of the paper
 // (Section 2, Example 1): a non-perfect affine nest with three
@@ -276,38 +280,43 @@ func SkewedCopy() *Program {
 }
 
 // examples lists the built-in example programs under the names their
-// constructors give them.
+// constructors give them. Each is built at most once per process and
+// shared read-only, so a program's memoized text (and every plan key
+// built on it) is rendered once, not once per request.
 var examples = []struct {
-	name  string
-	build func() *Program
+	name string
+	get  func() *Program
 }{
-	{"example1", PaperExample1},
-	{"example2", Example2Broadcast},
-	{"example3", Example3Gather},
-	{"example4", Example4Reduction},
-	{"example5", Example5},
-	{"matmul", MatMul},
-	{"gauss", Gauss},
-	{"transpose", Transpose},
-	{"jacobi", Jacobi},
-	{"skewedcopy", SkewedCopy},
+	{"example1", sync.OnceValue(PaperExample1)},
+	{"example2", sync.OnceValue(Example2Broadcast)},
+	{"example3", sync.OnceValue(Example3Gather)},
+	{"example4", sync.OnceValue(Example4Reduction)},
+	{"example5", sync.OnceValue(Example5)},
+	{"matmul", sync.OnceValue(MatMul)},
+	{"gauss", sync.OnceValue(Gauss)},
+	{"transpose", sync.OnceValue(Transpose)},
+	{"jacobi", sync.OnceValue(Jacobi)},
+	{"skewedcopy", sync.OnceValue(SkewedCopy)},
 }
 
-// AllExamples returns every built-in example program, for sweep tests.
+// AllExamples returns every built-in example program, for sweep tests
+// and suites. The programs are the shared instances ExampleByName
+// returns and must not be modified.
 func AllExamples() []*Program {
 	progs := make([]*Program, len(examples))
 	for i, e := range examples {
-		progs[i] = e.build()
+		progs[i] = e.get()
 	}
 	return progs
 }
 
-// ExampleByName builds the built-in example program called name, and
-// only that one; nil if there is none.
+// ExampleByName returns the built-in example program called name, or
+// nil if there is none. The program is built once per process and
+// shared: it must not be modified.
 func ExampleByName(name string) *Program {
 	for _, e := range examples {
 		if e.name == name {
-			return e.build()
+			return e.get()
 		}
 	}
 	return nil

@@ -190,19 +190,23 @@ type planSlot struct {
 // Below the eviction cap the miss counter equals the number of
 // distinct keys exactly, whatever the worker count; past the cap an
 // evicted key misses again on its next use.
+//
+// key is the scenario's PlanKey, used as it is: plan keys begin with
+// "m=", and no other tier's key does (kernel keys are "<op>:…",
+// selection keys "sel:…", artifacts "compiled:…"), so the tiers share
+// the shards without a tier prefix copied onto every lookup.
 func (c *Cache) planDo(key string, compute func() planEntry) planEntry {
-	k := "plan:" + key
-	s := c.shard(k)
+	s := c.shard(key)
 	s.mu.Lock()
 	var slot *planSlot
-	if el, ok := s.m[k]; ok {
+	if el, ok := s.m[key]; ok {
 		s.lru.MoveToFront(el)
 		slot = el.Value.(*cacheCell).v.(*planSlot)
 		s.mu.Unlock()
 		c.planHits.Add(1)
 	} else {
 		slot = &planSlot{}
-		s.m[k] = s.lru.PushFront(&cacheCell{key: k, v: slot})
+		s.m[key] = s.lru.PushFront(&cacheCell{key: key, v: slot})
 		c.evict(s)
 		s.mu.Unlock()
 		c.planMisses.Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -253,5 +254,41 @@ func TestRunStreamOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(streamed, b.Results) {
 		t.Fatal("streamed results differ from the batch results")
+	}
+}
+
+// TestCacheTierKeysDisjoint: the plan tier keys entries by the bare
+// PlanKey, so a key beginning "m=" must be a plan slot and every plan
+// slot's key must begin so — no kernel, selection or artifact key may
+// land in the plan tier's key space.
+func TestCacheTierKeysDisjoint(t *testing.T) {
+	s := NewSession(Options{Workers: 2})
+	defer s.Close()
+	batch := suite(t)
+	if _, err := s.Run(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	s.CompiledArtifact(context.Background(), &batch[0])
+	tiers := map[string]int{}
+	for i := range s.cache.shards {
+		sh := &s.cache.shards[i]
+		sh.mu.Lock()
+		for key, el := range sh.m {
+			_, plan := el.Value.(*cacheCell).v.(*planSlot)
+			if plan != strings.HasPrefix(key, "m=") {
+				t.Errorf("key %.40q: plan slot %v", key, plan)
+			}
+			tier, _, _ := strings.Cut(key, ":")
+			if plan {
+				tier = "plan"
+			}
+			tiers[tier]++
+		}
+		sh.mu.Unlock()
+	}
+	for _, tier := range []string{"plan", "sel", "compiled", "hnfL", "ker"} {
+		if tiers[tier] == 0 {
+			t.Errorf("no %s entries cached (tiers %v)", tier, tiers)
+		}
 	}
 }

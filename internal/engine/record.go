@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/affine"
 	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/intmat"
@@ -82,40 +83,46 @@ type planEntry struct {
 	kernelOps                    int
 }
 
-// optimizeCtx computes a plan entry from scratch via the full
-// two-step heuristic, projecting the result down to what costing
-// needs and recording the compute-cost attribution. Its kernels go
-// through one intmat.Kernels handle memoized in cache (nil: no memo)
-// and timed whatever the cache. When ctx carries an active trace it
-// adds an "optimize" span with "alignment", "macro", "decompose"
-// (from core) and an accumulated "kernel" child.
-//
-// optimizeCtx is the recover boundary of the paper core: every path
-// that computes a plan goes through it, so a panic (an arithmetic
-// overflow on a hostile nest, say) becomes the entry's error —
-// "internal error: …" — instead of a dead worker or handler and a
-// zero entry left in the plan tier.
-func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) (ent planEntry) {
-	ctx, sp := trace.StartSpan(ctx, "optimize")
-	t0 := time.Now()
+// Optimize runs the full two-step heuristic on p behind the paper
+// core's recover boundary: a panic inside core.OptimizeCtx (an
+// arithmetic overflow on a hostile nest, say) comes back as the error
+// "internal error: <panic value>" instead of killing the caller. Every
+// path that computes a plan goes through it — engine workers,
+// Session.CompiledArtifact, the lattice handler, and resopt's
+// single-nest mode. k may be nil.
+func Optimize(ctx context.Context, k *intmat.Kernels, p *affine.Program, m int, opts core.Options) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ent = planEntry{computeUs: usSince(t0), err: fmt.Sprintf("internal error: %v", r)}
-			sp.Set("error", ent.err).End()
+			res, err = nil, fmt.Errorf("internal error: %v", r)
 		}
 	}()
+	return core.OptimizeCtx(ctx, k, p, m, opts)
+}
+
+// optimizeCtx computes a plan entry from scratch via Optimize,
+// projecting the result down to what costing needs and recording the
+// compute-cost attribution. Its kernels go through one intmat.Kernels
+// handle memoized in cache (nil: no memo) and timed whatever the
+// cache. When ctx carries an active trace it adds an "optimize" span
+// with "alignment", "macro", "decompose" (from core) and an
+// accumulated "kernel" child. A failed optimization — a panic
+// included — becomes the entry's error, never a zero entry in the
+// plan tier.
+func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) planEntry {
+	ctx, sp := trace.StartSpan(ctx, "optimize")
+	t0 := time.Now()
 	k := &intmat.Kernels{}
 	if cache != nil {
 		// Only a non-nil *Cache becomes the interface: a nil one
 		// would be a non-nil KernelCache that panics on Get.
 		k.Cache = cache
 	}
-	res, err := core.OptimizeCtx(ctx, k, sc.Program, sc.M, sc.Opts)
+	res, err := Optimize(ctx, k, sc.Program, sc.M, sc.Opts)
 	if k.Ops > 0 {
 		trace.AddSpan(ctx, "kernel", t0, k.Time,
 			map[string]string{"ops": strconv.Itoa(k.Ops)})
 	}
-	ent = planEntry{
+	ent := planEntry{
 		computeUs: usSince(t0),
 		kernelUs:  float64(k.Time) / 1e3,
 		kernelOps: k.Ops,

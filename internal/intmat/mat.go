@@ -14,7 +14,7 @@ package intmat
 import (
 	"fmt"
 	"math/big"
-	"strings"
+	"strconv"
 )
 
 // Mat is a dense rows×cols integer matrix. The zero value is not
@@ -238,21 +238,24 @@ func Augment(m, n *Mat) *Mat {
 
 // String renders m like "[1 2; 3 4]".
 func (m *Mat) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
+	return string(m.AppendString(nil))
+}
+
+// AppendString appends the String rendering of m to dst.
+func (m *Mat) AppendString(dst []byte) []byte {
+	dst = append(dst, '[')
 	for i := 0; i < m.rows; i++ {
 		if i > 0 {
-			b.WriteString("; ")
+			dst = append(dst, "; "...)
 		}
 		for j := 0; j < m.cols; j++ {
 			if j > 0 {
-				b.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
-			fmt.Fprintf(&b, "%d", m.At(i, j))
+			dst = strconv.AppendInt(dst, m.a[i*m.cols+j], 10)
 		}
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(dst, ']')
 }
 
 // toBig converts m to a big.Int matrix (row-major slice of slices).

@@ -11,6 +11,7 @@ package scenarios
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/affine"
@@ -48,14 +49,18 @@ type MachineSpec struct {
 }
 
 func (s MachineSpec) String() string {
-	base := fmt.Sprintf("fattree%d", s.P)
+	var buf [48]byte
+	b := buf[:0]
 	if s.Kind == Mesh {
-		base = fmt.Sprintf("mesh%dx%d", s.P, s.Q)
+		b = strconv.AppendInt(append(b, "mesh"...), int64(s.P), 10)
+		b = strconv.AppendInt(append(b, 'x'), int64(s.Q), 10)
+	} else {
+		b = strconv.AppendInt(append(b, "fattree"...), int64(s.P), 10)
 	}
 	if s.Algo != "" {
-		return base + ":" + s.Algo
+		b = append(append(b, ':'), s.Algo...)
 	}
-	return base
+	return string(b)
 }
 
 // MaxMachineNodes bounds one machine configuration a request may
@@ -64,9 +69,10 @@ func (s MachineSpec) String() string {
 const MaxMachineNodes = 1 << 14
 
 // ParseMachineSpec parses the String form back into a spec:
-// "fattreeP" or "meshPxQ" with positive extents and at most
-// MaxMachineNodes nodes, optionally followed by ":algorithm" to pin
-// the collective algorithm.
+// "fattreeP" or "meshPxQ" with positive extents written as canonical
+// decimals (no sign, no leading zero) and at most MaxMachineNodes
+// nodes, optionally followed by ":algorithm" to pin the collective
+// algorithm. Every accepted spec renders back to exactly its input.
 func ParseMachineSpec(s string) (MachineSpec, error) {
 	spec, err := parseMachineSpec(s)
 	if err != nil {
@@ -89,19 +95,34 @@ func parseMachineSpec(s string) (MachineSpec, error) {
 				algo, s, collective.AllAlgorithms())
 		}
 	}
-	spec := MachineSpec{Algo: algo}
-	if n, err := fmt.Sscanf(base, "fattree%d", &spec.P); err == nil && n == 1 && spec.P > 0 {
-		if base == fmt.Sprintf("fattree%d", spec.P) {
-			return spec, nil
+	if rest, ok := strings.CutPrefix(base, "fattree"); ok {
+		if p, ok := parseExtent(rest); ok {
+			return MachineSpec{Kind: FatTree, P: p, Algo: algo}, nil
 		}
-	}
-	spec = MachineSpec{Kind: Mesh, Algo: algo}
-	if n, err := fmt.Sscanf(base, "mesh%dx%d", &spec.P, &spec.Q); err == nil && n == 2 && spec.P > 0 && spec.Q > 0 {
-		if base == fmt.Sprintf("mesh%dx%d", spec.P, spec.Q) {
-			return spec, nil
+	} else if rest, ok := strings.CutPrefix(base, "mesh"); ok {
+		ps, qs, _ := strings.Cut(rest, "x")
+		p, okP := parseExtent(ps)
+		q, okQ := parseExtent(qs)
+		if okP && okQ {
+			return MachineSpec{Kind: Mesh, P: p, Q: q, Algo: algo}, nil
 		}
 	}
 	return MachineSpec{}, fmt.Errorf(`scenarios: bad machine spec %q (want "fattreeP" or "meshPxQ", optionally ":algorithm")`, s)
+}
+
+// parseExtent parses one machine extent: a canonical positive decimal
+// — digits only, no leading zero — that fits an int.
+func parseExtent(s string) (int, bool) {
+	if s == "" || s[0] < '1' || s[0] > '9' {
+		return 0, false
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // Procs returns the processor count of the machine.
@@ -128,14 +149,38 @@ type Scenario struct {
 }
 
 // PlanKey is the canonical identity of the scenario's *optimization*
-// input (program structure, target dimension, heuristic options).
-// Scenarios that differ only in machine, distribution or size share a
-// PlanKey, which is exactly what lets the engine compute the
-// expensive heuristic once per distinct nest. Program.String renders
-// every array, depth, schedule and access matrix, so equal keys imply
-// equal optimization problems.
+// input (program structure, target dimension, heuristic options):
+// "m=%d|opts=%+v|" followed by the program text. Scenarios that
+// differ only in machine, distribution or size share a PlanKey, which
+// is exactly what lets the engine compute the expensive heuristic
+// once per distinct nest. Program.String renders every array, depth,
+// schedule and access matrix, so equal keys imply equal optimization
+// problems.
+//
+// The key is memoized on the program (affine.Program.PrefixedString):
+// keying a long-lived program again under the same m and options
+// renders only the short prefix, into a stack buffer, and returns the
+// same string.
 func (sc *Scenario) PlanKey() string {
-	return fmt.Sprintf("m=%d|opts=%+v|%s", sc.M, sc.Opts, sc.Program)
+	var buf [256]byte
+	return sc.Program.PrefixedString(appendPlanPrefix(buf[:0], sc.M, &sc.Opts))
+}
+
+// appendPlanPrefix appends fmt's "m=%d|opts=%+v|" rendering of m and
+// o to dst, field for field (TestPlanPrefixMatchesFmt holds it to
+// fmt).
+func appendPlanPrefix(dst []byte, m int, o *core.Options) []byte {
+	dst = strconv.AppendInt(append(dst, "m="...), int64(m), 10)
+	a := &o.Alignment
+	dst = strconv.AppendBool(append(dst, "|opts={Alignment:{UnitWeights:"...), a.UnitWeights)
+	dst = strconv.AppendBool(append(dst, " NoAugmentation:"...), a.NoAugmentation)
+	dst = strconv.AppendBool(append(dst, " NoDeficientRank:"...), a.NoDeficientRank)
+	dst = strconv.AppendInt(append(dst, " Seed:"...), a.Seed, 10)
+	dst = strconv.AppendInt(append(dst, "} MaxFactors:"...), int64(o.MaxFactors), 10)
+	dst = strconv.AppendInt(append(dst, " SimilarityBound:"...), o.SimilarityBound, 10)
+	dst = strconv.AppendBool(append(dst, " NoMacro:"...), o.NoMacro)
+	dst = strconv.AppendBool(append(dst, " NoDecomposition:"...), o.NoDecomposition)
+	return append(dst, "}|"...)
 }
 
 // Config parameterizes suite generation. The zero value of every
