@@ -69,6 +69,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -227,16 +228,22 @@ func main() {
 		prog = affine.PaperExample1()
 	}
 
-	res, err := core.Optimize(prog, *m, core.Options{
-		NoMacro:         *noMacro,
-		NoDecomposition: *noDecomp,
-	})
-	if err != nil {
+	if err := report(os.Stdout, prog, *m, core.Options{NoMacro: *noMacro, NoDecomposition: *noDecomp}); err != nil {
 		fatal(err)
 	}
-	fmt.Print(prog.String())
-	fmt.Println()
-	fmt.Print(res.Report())
+}
+
+// report optimizes one nest and writes its mapping report to w. The
+// heuristic runs behind the engine's recover boundary, so a nest that
+// overflows the paper core is an "internal error: …" like any other
+// failure, not a crash.
+func report(w io.Writer, prog *affine.Program, m int, opts core.Options) error {
+	res, err := engine.Optimize(context.Background(), nil, prog, m, opts)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%s\n%s", prog, res.Report())
+	return err
 }
 
 type batchConfig struct {
