@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +36,7 @@ import (
 // reached.
 type Cache struct {
 	shards [cacheShards]cacheShard
+	seed   maphash.Seed // shard hash seed
 
 	// kstore is the optional disk tier behind the kernel tier
 	// (memory → disk → compute, like the plan tier); set once before
@@ -84,7 +86,7 @@ func NewCache(capEntries int) *Cache {
 			perShard = 1
 		}
 	}
-	c := &Cache{}
+	c := &Cache{seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*list.Element)
 		c.shards[i].lru = list.New()
@@ -93,13 +95,11 @@ func NewCache(capEntries int) *Cache {
 	return c
 }
 
+// shard picks key's shard with the runtime's string hash: plan keys
+// run to hundreds of bytes, and a byte-at-a-time hash over them cost
+// as much as the rest of a warm plan lookup.
 func (c *Cache) shard(key string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &c.shards[h%cacheShards]
+	return &c.shards[maphash.String(c.seed, key)%cacheShards]
 }
 
 // lookup returns the entry for key, marking it most recently used.
