@@ -2,8 +2,9 @@
 # scripts/bench.sh — record one point of the perf trajectory.
 #
 # Runs the paper-core (root bench_test.go: Edmonds, Hermite, the full
-# pipeline, Figure 8, the big sweep), collective-selection and engine
-# benchmarks with -benchmem at a pinned -benchtime and -count, and
+# pipeline, Figure 8, the big sweep), collective-selection, engine and
+# server (the warm /v1/optimize pool through the handler) benchmarks
+# with -benchmem at a pinned -benchtime and -count, and
 # writes BENCH_<n>.json (n = the next free index) in the output
 # directory: per benchmark the median ns/op over the count samples
 # with its min and max, and the median B/op and allocs/op, plus run
@@ -29,7 +30,7 @@ cd "$(dirname "$0")/.."
 out_dir="${1:-.}"
 benchtime="${BENCHTIME:-5x}"
 count=5
-pkgs=". ./internal/collective ./internal/engine"
+pkgs=". ./internal/collective ./internal/engine ./internal/server"
 
 n=1
 while [ -e "$out_dir/BENCH_$n.json" ]; do
