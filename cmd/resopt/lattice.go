@@ -20,8 +20,8 @@ import (
 )
 
 // latticeConfig is resopt's -lattice mode run locally: one nest,
-// compiled once through the engine's compiled-plan tier, priced at
-// every point of a capacity-planning grid.
+// compiled once through the engine's plan tier, priced at every point
+// of a capacity-planning grid.
 type latticeConfig struct {
 	grid              string
 	example, nestFile string
@@ -142,7 +142,7 @@ func remoteLattice(ctx context.Context, f *remoteFleet, cfg remoteConfig) {
 	var sum *api.LatticeSummary
 	streaming := false
 	// Shard by nest + grid: a repeat of the same sweep lands on the
-	// endpoint whose compiled-artifact cache is already warm.
+	// endpoint whose plan cache is already warm.
 	err := f.try(f.order(req.Example+req.Nest+req.Grid), func(c *client.Client) error {
 		var err error
 		sum, err = c.Lattice(ctx, req, func(row api.LatticeRow) error {

@@ -363,13 +363,9 @@ type CacheStats struct {
 	DiskMisses       uint64 `json:"disk_misses"`
 	SelectHits       uint64 `json:"select_hits"`
 	SelectMisses     uint64 `json:"select_misses"`
-	// Compiled* mirror the compiled-plan tier: artifact lookups in the
-	// memory cache and the disk tier behind it, plus the pricer's
-	// selection-template cache and evaluation counter.
-	CompiledHits           uint64 `json:"compiled_hits"`
-	CompiledMisses         uint64 `json:"compiled_misses"`
-	CompiledDiskHits       uint64 `json:"compiled_disk_hits"`
-	CompiledDiskMisses     uint64 `json:"compiled_disk_misses"`
+	// Compiled* mirror the session pricer: its selection-template
+	// cache and evaluation counter. Compiled lattice artifacts are
+	// views of plan-tier entries, counted under Plan* and Disk*.
 	CompiledTemplates      int    `json:"compiled_templates"`
 	CompiledTemplateHits   uint64 `json:"compiled_template_hits"`
 	CompiledTemplateMisses uint64 `json:"compiled_template_misses"`
@@ -380,16 +376,17 @@ type CacheStats struct {
 
 // StoreStats mirrors the plan/kernel store's traffic counters.
 type StoreStats struct {
-	PlanPuts          uint64 `json:"plan_puts"`
-	PlanGetHits       uint64 `json:"plan_get_hits"`
-	PlanGetMisses     uint64 `json:"plan_get_misses"`
-	KernelPuts        uint64 `json:"kernel_puts"`
-	KernelGetHits     uint64 `json:"kernel_get_hits"`
-	KernelGetMisses   uint64 `json:"kernel_get_misses"`
-	CompiledPuts      uint64 `json:"compiled_puts"`
-	CompiledGetHits   uint64 `json:"compiled_get_hits"`
-	CompiledGetMisses uint64 `json:"compiled_get_misses"`
-	Warnings          uint64 `json:"warnings"`
+	PlanPuts        uint64 `json:"plan_puts"`
+	PlanGetHits     uint64 `json:"plan_get_hits"`
+	PlanGetMisses   uint64 `json:"plan_get_misses"`
+	KernelPuts      uint64 `json:"kernel_puts"`
+	KernelGetHits   uint64 `json:"kernel_get_hits"`
+	KernelGetMisses uint64 `json:"kernel_get_misses"`
+	// Deprecated: CompiledPuts is always 0. The store no longer has a
+	// compiled tier (compiled artifacts persist as plans); the field
+	// stays on the wire until its remaining readers drop it.
+	CompiledPuts uint64 `json:"compiled_puts"`
+	Warnings     uint64 `json:"warnings"`
 }
 
 // SuiteCacheStats counts batch-spec resolutions served from the

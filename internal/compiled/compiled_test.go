@@ -2,7 +2,6 @@ package compiled_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/collective"
@@ -109,30 +108,6 @@ func TestCompiledEvalMatchesEngine(t *testing.T) {
 	}
 	if len(arts) >= len(suite) {
 		t.Fatalf("expected nest sharing across machine points: %d artifacts for %d scenarios", len(arts), len(suite))
-	}
-}
-
-// TestArtifactRecRoundTrip round-trips a real compiled artifact
-// through its stored form.
-func TestArtifactRecRoundTrip(t *testing.T) {
-	suite := scenarios.Generate(scenarios.Config{Random: 2})
-	for i := range suite {
-		art := compiled.Compile(&suite[i])
-		back, err := compiled.FromRec(art.Rec())
-		if err != nil {
-			t.Fatalf("%s: round-trip error: %v", suite[i].Name, err)
-		}
-		if !reflect.DeepEqual(art, back) {
-			t.Fatalf("%s: round-trip mismatch:\n  in:  %+v\n  out: %+v", suite[i].Name, art, back)
-		}
-		pt1 := art.Eval(nil, suite[i].Machine, suite[i].Dist, suite[i].N, suite[i].ElemBytes)
-		pt2 := back.Eval(nil, suite[i].Machine, suite[i].Dist, suite[i].N, suite[i].ElemBytes)
-		if pt1 != pt2 {
-			t.Fatalf("%s: round-tripped artifact evaluates differently", suite[i].Name)
-		}
-	}
-	if _, err := compiled.FromRec(compiled.ArtifactRec{Plans: []compiled.PlanShapeRec{{Class: 99}}}); err == nil {
-		t.Fatal("bad class decoded without error")
 	}
 }
 

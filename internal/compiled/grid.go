@@ -74,6 +74,10 @@ func ParseGrid(s string) (*Grid, error) {
 		if err != nil {
 			return nil, fmt.Errorf("compiled: bad mesh extent %q: %w", qtok, err)
 		}
+		if err := checkPoints(s, len(ps), len(qs), len(g.Bytes)); err != nil {
+			return nil, err
+		}
+		g.Machines = make([]scenarios.MachineSpec, 0, len(ps)*len(qs))
 		for _, p := range ps {
 			for _, q := range qs {
 				g.Machines = append(g.Machines, scenarios.MachineSpec{Kind: scenarios.Mesh, P: p, Q: q})
@@ -91,14 +95,15 @@ func ParseGrid(s string) (*Grid, error) {
 		if err != nil {
 			return nil, fmt.Errorf("compiled: bad fattree extent %q: %w", ptok, err)
 		}
+		if err := checkPoints(s, len(ps), len(g.Bytes)); err != nil {
+			return nil, err
+		}
+		g.Machines = make([]scenarios.MachineSpec, 0, len(ps))
 		for _, p := range ps {
 			g.Machines = append(g.Machines, scenarios.MachineSpec{Kind: scenarios.FatTree, P: p})
 		}
 	default:
 		return nil, fmt.Errorf(`compiled: bad grid %q (want "mesh..." or "fattree...")`, s)
-	}
-	if g.Points() > maxGridPoints {
-		return nil, fmt.Errorf("compiled: grid %q expands to %d points (max %d)", s, g.Points(), maxGridPoints)
 	}
 	for _, ms := range g.Machines {
 		nodes := ms.P
@@ -113,6 +118,21 @@ func ParseGrid(s string) (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// checkPoints rejects a lattice whose axis lengths multiply past
+// maxGridPoints. It runs before the machine list is built, so a long
+// extent list costs its own length, never the cross product; the
+// running product stays within maxGridPoints², so it cannot wrap.
+func checkPoints(s string, axes ...int) error {
+	n := 1
+	for _, a := range axes {
+		if a > maxGridPoints/n {
+			return fmt.Errorf("compiled: grid %q expands to more than %d points", s, maxGridPoints)
+		}
+		n *= a
+	}
+	return nil
 }
 
 // cutExtent splits one machine extent — a {…} group or a bare run of

@@ -43,14 +43,12 @@ type Cache struct {
 	// the cache is shared.
 	kstore KernelStore
 
-	kernelHits, kernelMisses             atomic.Uint64
-	kernelDiskHits, kernelDiskMisses     atomic.Uint64
-	planHits, planMisses                 atomic.Uint64
-	diskHits, diskMisses                 atomic.Uint64
-	selectHits, selectMisses             atomic.Uint64
-	compiledHits, compiledMisses         atomic.Uint64
-	compiledDiskHits, compiledDiskMisses atomic.Uint64
-	evictions                            atomic.Uint64
+	kernelHits, kernelMisses         atomic.Uint64
+	kernelDiskHits, kernelDiskMisses atomic.Uint64
+	planHits, planMisses             atomic.Uint64
+	diskHits, diskMisses             atomic.Uint64
+	selectHits, selectMisses         atomic.Uint64
+	evictions                        atomic.Uint64
 }
 
 const cacheShards = 16
@@ -193,8 +191,10 @@ type planSlot struct {
 //
 // key is the scenario's PlanKey, used as it is: plan keys begin with
 // "m=", and no other tier's key does (kernel keys are "<op>:…",
-// selection keys "sel:…", artifacts "compiled:…"), so the tiers share
-// the shards without a tier prefix copied onto every lookup.
+// selection keys "sel:…"), so the tiers share the shards without a
+// tier prefix copied onto every lookup. Compiled artifacts are views
+// of plan entries (see Session.CompiledArtifact), not a tier of their
+// own.
 func (c *Cache) planDo(key string, compute func() planEntry) planEntry {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -245,12 +245,6 @@ type CacheStats struct {
 	// a hit returns a previously selected (machine, pattern, dims,
 	// bytes) choice without rebuilding any schedule.
 	SelectHits, SelectMisses uint64
-	// CompiledHits/CompiledMisses count compiled-artifact memory-tier
-	// lookups (see Session.CompiledArtifact); CompiledDiskHits and
-	// CompiledDiskMisses count the memory misses served from / not
-	// found in the store's compiled tier.
-	CompiledHits, CompiledMisses         uint64
-	CompiledDiskHits, CompiledDiskMisses uint64
 	// CompiledTemplates is the number of compiled selection templates
 	// the session's pricer holds; CompiledTemplateHits/Misses count its
 	// cache lookups and CompiledEvals the template evaluations (each
@@ -269,21 +263,17 @@ func (c *Cache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		KernelHits:         c.kernelHits.Load(),
-		KernelMisses:       c.kernelMisses.Load(),
-		KernelDiskHits:     c.kernelDiskHits.Load(),
-		KernelDiskMisses:   c.kernelDiskMisses.Load(),
-		PlanHits:           c.planHits.Load(),
-		PlanMisses:         c.planMisses.Load(),
-		DiskHits:           c.diskHits.Load(),
-		DiskMisses:         c.diskMisses.Load(),
-		SelectHits:         c.selectHits.Load(),
-		SelectMisses:       c.selectMisses.Load(),
-		CompiledHits:       c.compiledHits.Load(),
-		CompiledMisses:     c.compiledMisses.Load(),
-		CompiledDiskHits:   c.compiledDiskHits.Load(),
-		CompiledDiskMisses: c.compiledDiskMisses.Load(),
-		Evictions:          c.evictions.Load(),
-		Entries:            c.Len(),
+		KernelHits:       c.kernelHits.Load(),
+		KernelMisses:     c.kernelMisses.Load(),
+		KernelDiskHits:   c.kernelDiskHits.Load(),
+		KernelDiskMisses: c.kernelDiskMisses.Load(),
+		PlanHits:         c.planHits.Load(),
+		PlanMisses:       c.planMisses.Load(),
+		DiskHits:         c.diskHits.Load(),
+		DiskMisses:       c.diskMisses.Load(),
+		SelectHits:       c.selectHits.Load(),
+		SelectMisses:     c.selectMisses.Load(),
+		Evictions:        c.evictions.Load(),
+		Entries:          c.Len(),
 	}
 }

@@ -259,8 +259,9 @@ func TestRunStreamOrder(t *testing.T) {
 
 // TestCacheTierKeysDisjoint: the plan tier keys entries by the bare
 // PlanKey, so a key beginning "m=" must be a plan slot and every plan
-// slot's key must begin so — no kernel, selection or artifact key may
-// land in the plan tier's key space.
+// slot's key must begin so — no kernel or selection key may land in
+// the plan tier's key space. A compiled artifact is a view of its plan
+// slot: resolving one caches nothing of its own.
 func TestCacheTierKeysDisjoint(t *testing.T) {
 	s := NewSession(Options{Workers: 2})
 	defer s.Close()
@@ -268,7 +269,13 @@ func TestCacheTierKeysDisjoint(t *testing.T) {
 	if _, err := s.Run(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
-	s.CompiledArtifact(context.Background(), &batch[0])
+	entries := s.cache.Len()
+	if art := s.CompiledArtifact(context.Background(), &batch[0]); art.Key != batch[0].PlanKey() {
+		t.Fatalf("artifact key %.40q, want the plan key", art.Key)
+	}
+	if n := s.cache.Len(); n != entries {
+		t.Errorf("resolving a warm artifact changed the cache from %d to %d entries", entries, n)
+	}
 	tiers := map[string]int{}
 	for i := range s.cache.shards {
 		sh := &s.cache.shards[i]
@@ -286,7 +293,7 @@ func TestCacheTierKeysDisjoint(t *testing.T) {
 		}
 		sh.mu.Unlock()
 	}
-	for _, tier := range []string{"plan", "sel", "compiled", "hnfL", "ker"} {
+	for _, tier := range []string{"plan", "sel", "hnfL", "ker"} {
 		if tiers[tier] == 0 {
 			t.Errorf("no %s entries cached (tiers %v)", tier, tiers)
 		}

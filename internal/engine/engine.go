@@ -140,10 +140,8 @@ type Session struct {
 
 	// pricer serves mesh collective selections from compiled templates
 	// (the compiled tier between the selection memo and cold schedule
-	// construction); cstore is the optional disk tier behind the
-	// compiled-artifact cache. Both are nil when the cache is disabled.
+	// construction); nil when the cache is disabled.
 	pricer *compiled.Pricer
-	cstore CompiledStore
 
 	// Pool instrumentation (see PoolStats). busy and queued are
 	// instantaneous; the totals are cumulative over the session.
@@ -185,11 +183,6 @@ func NewSession(opts Options) *Session {
 			// The plan store also persists kernels: wire it behind the
 			// kernel memo tier so cold starts skip the linear algebra.
 			s.cache.kstore = ks
-		}
-		if cs, ok := opts.Store.(CompiledStore); ok {
-			// The plan store also persists compiled artifacts: wire it
-			// behind the artifact cache so lattice sweeps start warm.
-			s.cstore = cs
 		}
 	}
 	for w := 0; w < workers; w++ {

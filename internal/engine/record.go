@@ -166,14 +166,19 @@ func toRecords(ent planEntry) ([]PlanRecord, string) {
 	return recs, ent.err
 }
 
-// fromRecords rebuilds a plan entry from disk records, rejecting
-// records that do not decode to valid matrices or classes (the caller
-// treats an error as a disk miss and recomputes).
+// fromRecords rebuilds a plan entry from disk or peer records,
+// rejecting records that do not decode to a plan core could have
+// produced: a valid class, matrices that decode, and decomposition
+// factors that are all square and of one size (the cost models price
+// a factor chain by its first factor's shape). The caller treats an
+// error as a miss and recomputes. Plan records are the only persisted
+// form of a compiled artifact, so this is the trust boundary for
+// lattice restarts too.
 func fromRecords(recs []PlanRecord, errMsg string) (planEntry, error) {
 	ent := planEntry{err: errMsg, plans: make([]compiled.PlanShape, 0, len(recs))}
 	for _, r := range recs {
 		if r.Class < int(core.Local) || r.Class > int(core.General) {
-			return planEntry{}, errBadRecord{}
+			return planEntry{}, errBadRecord("an invalid class")
 		}
 		p := compiled.PlanShape{
 			Class:          core.Class(r.Class),
@@ -185,6 +190,9 @@ func fromRecords(recs []PlanRecord, errMsg string) (planEntry, error) {
 			f, err := intmat.FromRec(fr)
 			if err != nil {
 				return planEntry{}, err
+			}
+			if f.Rows() != f.Cols() || f.Rows() != r.Factors[0].R {
+				return planEntry{}, errBadRecord("factors that are not square matrices of one size")
 			}
 			p.Factors = append(p.Factors, f)
 		}
@@ -206,9 +214,10 @@ func fromRecords(recs []PlanRecord, errMsg string) (planEntry, error) {
 	return ent, nil
 }
 
-type errBadRecord struct{}
+// errBadRecord names what a rejected plan record has wrong.
+type errBadRecord string
 
-func (errBadRecord) Error() string { return "engine: plan record has an invalid class" }
+func (e errBadRecord) Error() string { return "engine: plan record has " + string(e) }
 
 // ValidateRecords reports whether the records decode to a valid plan
 // entry — the check the engine applies before trusting disk or peer

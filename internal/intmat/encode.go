@@ -31,7 +31,8 @@ func FromRec(r Rec) (*Mat, error) {
 	if r.R <= 0 || r.C <= 0 {
 		return nil, fmt.Errorf("intmat: invalid record dimensions %d×%d", r.R, r.C)
 	}
-	if len(r.V) != r.R*r.C {
+	// Divide rather than multiply: R·C may wrap past MaxInt.
+	if len(r.V)%r.R != 0 || len(r.V)/r.R != r.C {
 		return nil, fmt.Errorf("intmat: record %d×%d has %d entries, want %d", r.R, r.C, len(r.V), r.R*r.C)
 	}
 	return New(r.R, r.C, r.V...), nil

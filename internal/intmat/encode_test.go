@@ -34,6 +34,8 @@ func TestFromRecValidation(t *testing.T) {
 		"too few":    {R: 2, C: 2, V: []int64{1, 2, 3}},
 		"too many":   {R: 1, C: 1, V: []int64{1, 2}},
 		"nil values": {R: 1, C: 1},
+		// R·C wraps to 0 on 64-bit ints, matching the empty V.
+		"wrapping dims": {R: 1 << 32, C: 1 << 32, V: []int64{}},
 	} {
 		if _, err := FromRec(r); err == nil {
 			t.Errorf("%s: accepted", name)

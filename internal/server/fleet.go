@@ -51,10 +51,6 @@ func (s *Server) statsResponse() api.StatsResponse {
 			SelectHits:       c.SelectHits,
 			SelectMisses:     c.SelectMisses,
 
-			CompiledHits:           c.CompiledHits,
-			CompiledMisses:         c.CompiledMisses,
-			CompiledDiskHits:       c.CompiledDiskHits,
-			CompiledDiskMisses:     c.CompiledDiskMisses,
 			CompiledTemplates:      c.CompiledTemplates,
 			CompiledTemplateHits:   c.CompiledTemplateHits,
 			CompiledTemplateMisses: c.CompiledTemplateMisses,
@@ -80,16 +76,13 @@ func (s *Server) statsResponse() api.StatsResponse {
 	if s.store != nil {
 		st := s.store.Stats()
 		resp.Store = &api.StoreStats{
-			PlanPuts:          st.PlanPuts,
-			PlanGetHits:       st.PlanGetHits,
-			PlanGetMisses:     st.PlanGetMisses,
-			KernelPuts:        st.KernelPuts,
-			KernelGetHits:     st.KernelGetHits,
-			KernelGetMisses:   st.KernelGetMisses,
-			CompiledPuts:      st.CompiledPuts,
-			CompiledGetHits:   st.CompiledGetHits,
-			CompiledGetMisses: st.CompiledGetMisses,
-			Warnings:          st.Warnings,
+			PlanPuts:        st.PlanPuts,
+			PlanGetHits:     st.PlanGetHits,
+			PlanGetMisses:   st.PlanGetMisses,
+			KernelPuts:      st.KernelPuts,
+			KernelGetHits:   st.KernelGetHits,
+			KernelGetMisses: st.KernelGetMisses,
+			Warnings:        st.Warnings,
 		}
 	}
 	resp.Requests = api.RequestStats{
@@ -197,10 +190,6 @@ func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
 		ru.Cache.DiskMisses += st.Cache.DiskMisses
 		ru.Cache.SelectHits += st.Cache.SelectHits
 		ru.Cache.SelectMisses += st.Cache.SelectMisses
-		ru.Cache.CompiledHits += st.Cache.CompiledHits
-		ru.Cache.CompiledMisses += st.Cache.CompiledMisses
-		ru.Cache.CompiledDiskHits += st.Cache.CompiledDiskHits
-		ru.Cache.CompiledDiskMisses += st.Cache.CompiledDiskMisses
 		ru.Cache.CompiledTemplates += st.Cache.CompiledTemplates
 		ru.Cache.CompiledTemplateHits += st.Cache.CompiledTemplateHits
 		ru.Cache.CompiledTemplateMisses += st.Cache.CompiledTemplateMisses
@@ -235,9 +224,6 @@ func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
 			ru.Store.KernelPuts += st.Store.KernelPuts
 			ru.Store.KernelGetHits += st.Store.KernelGetHits
 			ru.Store.KernelGetMisses += st.Store.KernelGetMisses
-			ru.Store.CompiledPuts += st.Store.CompiledPuts
-			ru.Store.CompiledGetHits += st.Store.CompiledGetHits
-			ru.Store.CompiledGetMisses += st.Store.CompiledGetMisses
 			ru.Store.Warnings += st.Store.Warnings
 		}
 		if st.Sweeper != nil {

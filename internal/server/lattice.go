@@ -12,10 +12,10 @@ import (
 
 // handleLattice serves POST /v1/lattice: one nest swept over a
 // capacity-planning grid. The nest's optimization is resolved through
-// the compiled-plan tier (memory → compiled store tier → one
-// structural compile), then every grid point is priced by template
-// evaluation against the shared session pricer — the sweep never
-// re-optimizes per point. The whole sweep runs first; its rows are
+// the plan tier as a compiled artifact (memory → plans/ on disk →
+// peer → one structural compile), then every grid point is priced by
+// template evaluation against the shared session pricer — the sweep
+// never re-optimizes per point. The whole sweep runs first; its rows are
 // then written as NDJSON in grid order (machines as declared, payloads
 // ascending) through the response writer's buffer, with no per-row
 // flush. Switch points — payload thresholds where the selected

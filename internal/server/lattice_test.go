@@ -18,8 +18,8 @@ import (
 
 // TestLatticeStream drives POST /v1/lattice end to end: the NDJSON
 // row stream (ordering, switch-point flags), the summary line,
-// per-point agreement with /v1/optimize, the compiled-tier counters
-// in /v1/stats, and the Go client's streaming decode of the same
+// per-point agreement with /v1/optimize, the plan-tier counters in
+// /v1/stats, and the Go client's streaming decode of the same
 // endpoint.
 func TestLatticeStream(t *testing.T) {
 	st, err := store.Open(t.TempDir())
@@ -121,7 +121,7 @@ func TestLatticeStream(t *testing.T) {
 	}
 
 	// The same sweep through the Go client: identical rows, summary,
-	// and a compiled-tier memory hit this time.
+	// and a plan-tier memory hit this time.
 	c, err := client.New(ts.URL, ts.Client())
 	if err != nil {
 		t.Fatal(err)
@@ -143,9 +143,10 @@ func TestLatticeStream(t *testing.T) {
 		}
 	}
 
-	// Stats surface the new tier: request counter, artifact lookups
-	// (one miss then one memory hit), template/eval traffic, and the
-	// store's compiled-tier puts.
+	// Stats surface the lattice path: request counter, artifact
+	// lookups in the plan tier (the nest's one miss, every later
+	// lattice and optimize of it a memory hit), template/eval traffic,
+	// and the nest's one plans/ write.
 	stresp, stbody := get(t, ts, "/v1/stats")
 	if stresp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", stresp.StatusCode)
@@ -158,14 +159,14 @@ func TestLatticeStream(t *testing.T) {
 		t.Fatalf("lattice request count %d, want 2", stats.Requests.Lattice)
 	}
 	cs := stats.Cache
-	if cs.CompiledMisses == 0 || cs.CompiledHits == 0 {
-		t.Fatalf("compiled artifact counters did not move: %+v", cs)
+	if cs.PlanMisses != 1 || cs.PlanHits == 0 || cs.DiskMisses != 1 {
+		t.Fatalf("plan-tier counters: %+v", cs)
 	}
 	if cs.CompiledEvals == 0 || cs.CompiledTemplates == 0 || cs.CompiledTemplateMisses == 0 {
 		t.Fatalf("pricer counters did not move: %+v", cs)
 	}
-	if stats.Store == nil || stats.Store.CompiledPuts == 0 {
-		t.Fatalf("store compiled tier saw no puts: %+v", stats.Store)
+	if stats.Store == nil || stats.Store.PlanPuts != 1 || stats.Store.CompiledPuts != 0 {
+		t.Fatalf("store traffic: %+v", stats.Store)
 	}
 }
 

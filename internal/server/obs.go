@@ -127,14 +127,10 @@ func newObservability(s *Server) *observability {
 	misses.WithFunc(func() uint64 { return cache().DiskMisses }, "plan_disk")
 	hits.WithFunc(func() uint64 { return cache().KernelDiskHits }, "kernel_disk")
 	misses.WithFunc(func() uint64 { return cache().KernelDiskMisses }, "kernel_disk")
-	hits.WithFunc(func() uint64 { return cache().CompiledHits }, "compiled")
-	misses.WithFunc(func() uint64 { return cache().CompiledMisses }, "compiled")
-	hits.WithFunc(func() uint64 { return cache().CompiledDiskHits }, "compiled_disk")
-	misses.WithFunc(func() uint64 { return cache().CompiledDiskMisses }, "compiled_disk")
 	hits.WithFunc(func() uint64 { return cache().CompiledTemplateHits }, "compiled_template")
 	misses.WithFunc(func() uint64 { return cache().CompiledTemplateMisses }, "compiled_template")
 	reg.NewCounterFunc("resopt_engine_compiled_evals_total",
-		"Selection-template evaluations by the compiled-plan tier (one per priced lattice point selection).",
+		"Selection-template evaluations by the session pricer (one per priced lattice point selection).",
 		func() uint64 { return cache().CompiledEvals })
 	reg.NewGaugeFunc("resopt_engine_compiled_templates",
 		"Compiled selection templates held by the session pricer.",
@@ -222,9 +218,6 @@ func (o *observability) registerStore(st *store.Store) {
 	puts.WithFunc(func() uint64 { return st.Stats().KernelPuts }, "kernels")
 	getHits.WithFunc(func() uint64 { return st.Stats().KernelGetHits }, "kernels")
 	getMisses.WithFunc(func() uint64 { return st.Stats().KernelGetMisses }, "kernels")
-	puts.WithFunc(func() uint64 { return st.Stats().CompiledPuts }, "compiled")
-	getHits.WithFunc(func() uint64 { return st.Stats().CompiledGetHits }, "compiled")
-	getMisses.WithFunc(func() uint64 { return st.Stats().CompiledGetMisses }, "compiled")
 	reg.NewCounterFunc("resopt_store_warnings_total",
 		"Non-fatal store problems (corrupt files skipped, failed writes).",
 		func() uint64 { return st.Stats().Warnings })

@@ -14,7 +14,7 @@
 //	                             name a stored snapshot to re-run and diff it
 //	POST   /v1/lattice           nest × capacity-planning grid → NDJSON rows
 //	                             of per-point model costs and switch points,
-//	                             priced through the compiled-plan tier
+//	                             priced off the nest's compiled artifact
 //	POST   /v1/jobs              submit a batch spec as an async job
 //	GET    /v1/jobs              list jobs, most recent first
 //	GET    /v1/jobs/{id}         poll one job

@@ -50,7 +50,7 @@ func (r GCResult) Removed() int { return r.RemovedAge + r.RemovedLRU + r.Removed
 // mid-write in another process.
 const staleTempAge = time.Hour
 
-// GC sweeps the plan, kernel and compiled tiers: age-expired files first, then
+// GC sweeps the plan and kernel tiers: age-expired files first, then
 // the least recently used files beyond MaxPlans (mtime is the
 // recency signal — GetPlan and GetKernel touch files they serve; the
 // cap applies to each tier independently). Snapshots are never
@@ -67,7 +67,7 @@ func (s *Store) GC(opts GCOptions) (GCResult, error) {
 	if !opts.DryRun {
 		s.gcSweeps.Add(1)
 	}
-	for _, tier := range []string{"plans", "kernels", "compiled"} {
+	for _, tier := range []string{"plans", "kernels"} {
 		if err := s.gcTier(filepath.Join(s.root, tier), now, opts, &res); err != nil {
 			return res, err
 		}

@@ -1,5 +1,5 @@
 // Package store is the disk-backed, content-addressed persistence
-// layer behind the optimization engine. It durably stores two kinds
+// layer behind the optimization engine. It durably stores these kinds
 // of artifacts under a versioned directory layout:
 //
 //   - heuristic plans, keyed by the engine's canonical plan keys
@@ -7,15 +7,14 @@
 //     the SHA-256 of the key, under plans/<hh>/<hash>.json. The
 //     engine consults this tier between its in-memory memo cache and
 //     a fresh computation, so repeated CLI sweeps and daemon restarts
-//     are compile-once/reuse-many across processes;
+//     are compile-once/reuse-many across processes. It is also the
+//     only persisted form of a compiled lattice artifact, which is a
+//     view of a plan entry (engine.Session.CompiledArtifact);
 //   - kernel memo values (Hermite forms, unimodular inverses, kernel
 //     bases), keyed by intmat.Kernels' op:key scheme, under
 //     kernels/<hh>/<hash>.json, so cold starts skip the exact linear
 //     algebra too — a suite of fresh nests on a warm store recomputes
 //     nothing it has ever factored before;
-//   - compiled plan artifacts (see internal/compiled), keyed like
-//     plans, under compiled/<hh>/<hash>.json, so lattice sweeps and
-//     daemon restarts skip the structural compile phase entirely;
 //   - batch-result snapshots (see Snapshot), under snapshots/, which
 //     Compare diffs scenario-by-scenario for cross-commit regression
 //     tracking;
@@ -45,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/compiled"
 	"repro/internal/engine"
 	"repro/internal/intmat"
 )
@@ -67,9 +65,8 @@ type Store struct {
 	mu       sync.Mutex
 	warnings []string
 
-	puts, getHits, getMisses, corrupt                atomic.Uint64
-	kernelPuts, kernelGetHits, kernelGetMisses       atomic.Uint64
-	compiledPuts, compiledGetHits, compiledGetMisses atomic.Uint64
+	puts, getHits, getMisses, corrupt          atomic.Uint64
+	kernelPuts, kernelGetHits, kernelGetMisses atomic.Uint64
 
 	// Cumulative GC work through this handle (dry runs excluded);
 	// see GCTotals.
@@ -78,9 +75,8 @@ type Store struct {
 }
 
 var (
-	_ engine.PlanStore     = (*Store)(nil)
-	_ engine.KernelStore   = (*Store)(nil)
-	_ engine.CompiledStore = (*Store)(nil)
+	_ engine.PlanStore   = (*Store)(nil)
+	_ engine.KernelStore = (*Store)(nil)
 )
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -89,7 +85,6 @@ func Open(dir string) (*Store, error) {
 	for _, d := range []string{
 		filepath.Join(root, "plans"),
 		filepath.Join(root, "kernels"),
-		filepath.Join(root, "compiled"),
 		filepath.Join(root, "snapshots"),
 		filepath.Join(root, "jobs"),
 	} {
@@ -229,62 +224,6 @@ func (s *Store) PutKernel(key string, rec intmat.KernelRec) {
 	s.kernelPuts.Add(1)
 }
 
-// compiledPath is the content address of a compiled artifact:
-// compiled/<hh>/<sha256-of-plan-key>.json.
-func (s *Store) compiledPath(key string) string {
-	h := sha256.Sum256([]byte(key))
-	hx := hex.EncodeToString(h[:])
-	return filepath.Join(s.root, "compiled", hx[:2], hx+".json")
-}
-
-// GetCompiled implements engine.CompiledStore: load the compiled
-// artifact persisted for a plan key, or ok == false when absent or
-// unreadable. The artifact record carries its own key, which is
-// verified like planFile's.
-func (s *Store) GetCompiled(key string) (compiled.ArtifactRec, bool) {
-	path := s.compiledPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			s.warnf("skipping unreadable compiled file %s: %v", path, err)
-		}
-		s.compiledGetMisses.Add(1)
-		return compiled.ArtifactRec{}, false
-	}
-	var rec compiled.ArtifactRec
-	if err := json.Unmarshal(data, &rec); err != nil {
-		s.warnf("skipping corrupt compiled file %s: %v", path, err)
-		s.compiledGetMisses.Add(1)
-		return compiled.ArtifactRec{}, false
-	}
-	if rec.Key != key {
-		s.warnf("skipping compiled file %s: stored key does not match request", path)
-		s.compiledGetMisses.Add(1)
-		return compiled.ArtifactRec{}, false
-	}
-	s.compiledGetHits.Add(1)
-	now := time.Now()
-	_ = os.Chtimes(path, now, now) // recency for the GC LRU, like GetPlan
-	return rec, true
-}
-
-// PutCompiled implements engine.CompiledStore: persist the compiled
-// artifact for a plan key. Failures degrade to recompile-next-time,
-// like PutPlan.
-func (s *Store) PutCompiled(key string, rec compiled.ArtifactRec) {
-	path := s.compiledPath(key)
-	data, err := json.Marshal(rec)
-	if err != nil {
-		s.warnf("encoding compiled artifact for %s: %v", path, err)
-		return
-	}
-	if err := s.writeAtomic(path, data); err != nil {
-		s.warnf("writing compiled file %s: %v", path, err)
-		return
-	}
-	s.compiledPuts.Add(1)
-}
-
 // writeAtomic writes data to path via a temp file in the same
 // directory plus rename, so concurrent readers never observe a
 // truncated file.
@@ -341,11 +280,7 @@ type Stats struct {
 	KernelPuts      uint64 `json:"kernel_puts"`
 	KernelGetHits   uint64 `json:"kernel_get_hits"`
 	KernelGetMisses uint64 `json:"kernel_get_misses"`
-	// Compiled* count compiled-artifact tier traffic.
-	CompiledPuts      uint64 `json:"compiled_puts"`
-	CompiledGetHits   uint64 `json:"compiled_get_hits"`
-	CompiledGetMisses uint64 `json:"compiled_get_misses"`
-	Warnings          uint64 `json:"warnings"`
+	Warnings        uint64 `json:"warnings"`
 }
 
 // TierSize is the on-disk footprint of one store tier.
@@ -357,15 +292,16 @@ type TierSize struct {
 }
 
 // Tiers lists the store's tier directories, in layout order.
-func Tiers() []string { return []string{"plans", "kernels", "compiled", "snapshots", "jobs"} }
+func Tiers() []string { return []string{"plans", "kernels", "snapshots", "jobs"} }
 
 // TierSizes walks every tier and reports its object count and byte
 // footprint. It reads the filesystem on each call — cheap for the
 // file counts a GC-bounded store holds, but meant for scrape-rate
 // polling (the /metrics collect hook), not per-request paths.
 func (s *Store) TierSizes() map[string]TierSize {
-	out := make(map[string]TierSize, 5)
-	for _, tier := range Tiers() {
+	tiers := Tiers()
+	out := make(map[string]TierSize, len(tiers))
+	for _, tier := range tiers {
 		var ts TierSize
 		filepath.WalkDir(filepath.Join(s.root, tier), func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), ".tmp-") {
@@ -385,15 +321,12 @@ func (s *Store) TierSizes() map[string]TierSize {
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		PlanPuts:          s.puts.Load(),
-		PlanGetHits:       s.getHits.Load(),
-		PlanGetMisses:     s.getMisses.Load(),
-		KernelPuts:        s.kernelPuts.Load(),
-		KernelGetHits:     s.kernelGetHits.Load(),
-		KernelGetMisses:   s.kernelGetMisses.Load(),
-		CompiledPuts:      s.compiledPuts.Load(),
-		CompiledGetHits:   s.compiledGetHits.Load(),
-		CompiledGetMisses: s.compiledGetMisses.Load(),
-		Warnings:          s.corrupt.Load(),
+		PlanPuts:        s.puts.Load(),
+		PlanGetHits:     s.getHits.Load(),
+		PlanGetMisses:   s.getMisses.Load(),
+		KernelPuts:      s.kernelPuts.Load(),
+		KernelGetHits:   s.kernelGetHits.Load(),
+		KernelGetMisses: s.kernelGetMisses.Load(),
+		Warnings:        s.corrupt.Load(),
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/compiled"
 	"repro/internal/engine"
 	"repro/internal/intmat"
 	"repro/internal/scenarios"
@@ -427,44 +426,5 @@ func TestJobRoundTrip(t *testing.T) {
 	}
 	if ids, _ := s.ListJobs(); len(ids) != 0 {
 		t.Errorf("jobs remain after delete: %v", ids)
-	}
-}
-
-// TestCompiledTierRoundTrip exercises the compiled-artifact tier:
-// persisted artifacts come back byte-identical, key verification
-// rejects moved files, and the tier shows up in sizes and stats.
-func TestCompiledTierRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := scenarios.Generate(scenarios.Config{Random: 1})
-	art := compiled.Compile(&suite[0])
-	key := art.Key
-
-	if _, ok := s.GetCompiled(key); ok {
-		t.Fatal("empty store served a compiled artifact")
-	}
-	s.PutCompiled(key, art.Rec())
-	rec, ok := s.GetCompiled(key)
-	if !ok {
-		t.Fatal("compiled artifact not served back")
-	}
-	back, err := compiled.FromRec(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(art, back) {
-		t.Fatalf("compiled round-trip mismatch:\n  in:  %+v\n  out: %+v", art, back)
-	}
-	if _, ok := s.GetCompiled(key + "|other"); ok {
-		t.Fatal("compiled tier served a record under the wrong key")
-	}
-	if ts := s.TierSizes()["compiled"]; ts.Files != 1 {
-		t.Fatalf("compiled tier sizes = %+v", ts)
-	}
-	st := s.Stats()
-	if st.CompiledPuts != 1 || st.CompiledGetHits != 1 || st.CompiledGetMisses != 2 {
-		t.Fatalf("compiled tier stats = %+v", st)
 	}
 }
