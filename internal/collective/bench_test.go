@@ -3,6 +3,8 @@ package collective
 import (
 	"testing"
 
+	"repro/internal/distrib"
+	"repro/internal/intmat"
 	"repro/internal/machine"
 )
 
@@ -82,6 +84,29 @@ func BenchmarkMeshTemplateCompile(b *testing.B) {
 				tb.Dim(p, 1, "")
 				tb.Macro(p, []int{0, 1}, "")
 			}
+		}
+	}
+}
+
+// BenchmarkPatternTemplateCompile compiles, cold, the two pattern
+// templates a session builds for a decomposed and a general plan on
+// each big-sweep geometry at N = 64: a decomposed phase's aggregated
+// pattern under every permute algorithm, and a general pattern's
+// direct schedule, streamed element by element into the packer.
+func BenchmarkPatternTemplateCompile(b *testing.B) {
+	const n = 64
+	dist := distrib.Dist2D{D0: distrib.Grouped{K: 2}, D1: distrib.BlockCyclic{B: 4}}
+	l := intmat.New(2, 2, 1, 0, 3, 1)
+	tr := intmat.New(2, 2, 0, 1, 1, 0)
+	meshes := make([]*machine.Mesh2D, len(bigSweepMeshes))
+	for i, sh := range bigSweepMeshes {
+		meshes[i] = machine.DefaultMesh(sh[0], sh[1])
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, m := range meshes {
+			CompilePattern(m, machine.ListStream(machine.AffineComm2D(m, dist, l, nil, n, n, 1)), false)
+			CompilePattern(m, machine.AffineStream(m, dist, tr, nil, n, n, 1), true)
 		}
 	}
 }

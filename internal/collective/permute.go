@@ -1,6 +1,10 @@
 package collective
 
-import "repro/internal/machine"
+import (
+	"slices"
+
+	"repro/internal/machine"
+)
 
 // Permute algorithms execute an arbitrary aggregated message pattern
 // (a residual shift/translation phase: typically one destination per
@@ -22,45 +26,64 @@ func PermuteAlgorithms() []string { return append([]string(nil), permuteAlgos...
 // PermuteRounds builds the named permute algorithm's schedule for the
 // pattern; unknown names return nil.
 func PermuteRounds(m *machine.Mesh2D, msgs []machine.Message, algo string) []Round {
-	switch algo {
-	case "direct":
-		return []Round{append(Round(nil), msgs...)}
-	case "xy-phased", "staggered":
-		// Both store-and-forward at a corner. xy-phased routes every
-		// message x-first through the (dx, sy) corner. staggered
-		// checkerboard-colors the sources: even diagonals (x+y) route
-		// x-first, odd ones y-first through the (sx, dy) corner, so
-		// both phases carry a mix of x- and y-traffic from disjoint
-		// source sets, which breaks up the single-corner hot spots of
-		// xy-phased on dense affine patterns.
-		var phase1, phase2 Round
-		for _, msg := range msgs {
-			if msg.Src == msg.Dst {
-				continue
-			}
-			sx, sy := m.Coords(msg.Src)
-			dx, dy := m.Coords(msg.Dst)
-			corner := m.Rank(dx, sy)
-			if algo == "staggered" && (sx+sy)%2 == 1 {
-				corner = m.Rank(sx, dy)
-			}
-			if corner != msg.Src {
-				phase1 = append(phase1, machine.Message{Src: msg.Src, Dst: corner, Bytes: msg.Bytes})
-			}
-			if corner != msg.Dst {
-				phase2 = append(phase2, machine.Message{Src: corner, Dst: msg.Dst, Bytes: msg.Bytes})
-			}
-		}
-		var rounds []Round
-		if len(phase1) > 0 {
-			rounds = append(rounds, phase1)
-		}
-		if len(phase2) > 0 {
-			rounds = append(rounds, phase2)
-		}
-		return rounds
+	if !slices.Contains(permuteAlgos, algo) {
+		return nil
 	}
-	return nil
+	var rounds []Round
+	for ph := 0; ph < permutePhases(algo); ph++ {
+		r := make(Round, 0, len(msgs))
+		emitPermutePhase(m, machine.ListStream(msgs), algo, ph, func(msg machine.Message) { r = append(r, msg) })
+		if len(r) > 0 || algo == "direct" {
+			rounds = append(rounds, r)
+		}
+	}
+	return rounds
+}
+
+// permutePhases is the number of schedule rounds the algorithm can
+// have: direct posts the pattern as one round, which it keeps even
+// when empty; the corner-routing algorithms have two store-and-forward
+// phases and drop an empty one.
+func permutePhases(algo string) int {
+	if algo == "direct" {
+		return 1
+	}
+	return 2
+}
+
+// emitPermutePhase streams phase ph of the named permute algorithm
+// over the pattern to place. direct posts every message, local ones
+// included. xy-phased and staggered both store-and-forward every
+// non-local message at a corner: phase 0 carries it to the corner,
+// phase 1 on to its destination, and a leg whose ends coincide is
+// dropped. xy-phased routes every message x-first through the
+// (dx, sy) corner. staggered checkerboard-colors the sources: even
+// diagonals (x+y) route x-first, odd ones y-first through the
+// (sx, dy) corner, so both phases carry a mix of x- and y-traffic
+// from disjoint source sets, which breaks up the single-corner hot
+// spots of xy-phased on dense affine patterns.
+func emitPermutePhase(m *machine.Mesh2D, pattern machine.Stream, algo string, ph int, place func(machine.Message)) {
+	if algo == "direct" {
+		pattern(place)
+		return
+	}
+	pattern(func(msg machine.Message) {
+		if msg.Src == msg.Dst {
+			return
+		}
+		sx, sy := m.Coords(msg.Src)
+		dx, dy := m.Coords(msg.Dst)
+		corner := m.Rank(dx, sy)
+		if algo == "staggered" && (sx+sy)%2 == 1 {
+			corner = m.Rank(sx, dy)
+		}
+		switch {
+		case ph == 0 && corner != msg.Src:
+			place(machine.Message{Src: msg.Src, Dst: corner, Bytes: msg.Bytes})
+		case ph == 1 && corner != msg.Dst:
+			place(machine.Message{Src: corner, Dst: msg.Dst, Bytes: msg.Bytes})
+		}
+	})
 }
 
 // SelectPermute evaluates the permute algorithms on the concrete
@@ -114,10 +137,12 @@ type countRound struct {
 	count, hops int32
 }
 
-// CompilePattern compiles the pattern's permute schedules: all of
-// them for SelectPermute, or only the direct one — all Time reads,
-// the pricing of a general communication — when direct is set.
-func CompilePattern(m *machine.Mesh2D, counts []machine.Message, direct bool) *PatternTemplate {
+// CompilePattern compiles the pattern's permute schedules at one byte
+// per element: all of them for SelectPermute, or only the direct one —
+// all Time reads, the pricing of a general communication — when
+// direct is set. Each phase is packed as it is streamed, so no
+// schedule round is built; the pattern is streamed once per phase.
+func CompilePattern(m *machine.Mesh2D, pattern machine.Stream, direct bool) *PatternTemplate {
 	algos := permuteAlgos
 	if direct {
 		algos = algos[:1]
@@ -125,16 +150,19 @@ func CompilePattern(m *machine.Mesh2D, counts []machine.Message, direct bool) *P
 	t := &PatternTemplate{scheds: make([]permuteSched, len(algos))}
 	var buf []countRound
 	for i, name := range algos {
-		rounds := PermuteRounds(m, counts, name)
-		s := permuteSched{name: name, rounds: make([][]countRound, len(rounds))}
-		for ri, r := range rounds {
+		s := &t.scheds[i]
+		s.name = name
+		for ph := 0; ph < permutePhases(name); ph++ {
 			buf = buf[:0]
-			m.Rounds(r, func(maxCount int64, maxHops int) {
+			m.StreamRounds(func(place func(machine.Message)) {
+				emitPermutePhase(m, pattern, name, ph, place)
+			}, func(maxCount int64, maxHops int) {
 				buf = append(buf, countRound{count: int32(maxCount), hops: int32(maxHops)})
 			})
-			s.rounds[ri] = append([]countRound(nil), buf...)
+			if len(buf) > 0 || name == "direct" {
+				s.rounds = append(s.rounds, slices.Clone(buf))
+			}
 		}
-		t.scheds[i] = s
 	}
 	return t
 }

@@ -60,9 +60,11 @@ func (pr *Pricer) pattern(m *machine.Mesh2D, k patternKey, t *intmat.Mat, off []
 	slot.once.Do(func() {
 		hm := heapMesh(m)
 		if k.permute {
-			slot.t = collective.CompilePattern(hm, machine.AffineComm2D(hm, k.dist, t, off, k.n, k.n, 1), false)
+			slot.t = collective.CompilePattern(hm, machine.ListStream(machine.AffineComm2D(hm, k.dist, t, off, k.n, k.n, 1)), false)
 		} else {
-			slot.t = collective.CompilePattern(hm, machine.GeneralComm2D(hm, k.dist, t, nil, k.n, k.n, 1), true)
+			// Streamed straight into the packer: the N² element
+			// messages are never built.
+			slot.t = collective.CompilePattern(hm, machine.AffineStream(hm, k.dist, t, nil, k.n, k.n, 1), true)
 		}
 	})
 	pr.evals.Add(1)

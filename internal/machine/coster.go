@@ -124,34 +124,37 @@ func (e *CostEval) Time(msgs []Message) float64 {
 func (e *CostEval) Assign(msgs []Message, assign []int) int {
 	e.reset()
 	for mi := range msgs {
-		msg := &msgs[mi]
-		if msg.Src == msg.Dst {
-			if assign != nil {
-				assign[mi] = -1
-			}
-			continue
-		}
-		e.walk(msg.Src, msg.Dst)
-		ri := e.firstFree()
-		if ri == e.nrounds {
-			if ri == len(e.rounds) {
-				e.rounds = append(e.rounds, costRound{})
-			}
-			e.nrounds++
-		}
-		e.occupy(ri)
-		r := &e.rounds[ri]
-		if msg.Bytes > r.maxBytes {
-			r.maxBytes = msg.Bytes
-		}
-		if len(e.path) > r.maxHops {
-			r.maxHops = len(e.path)
-		}
+		ri := e.place(msgs[mi])
 		if assign != nil {
 			assign[mi] = ri
 		}
 	}
 	return e.nrounds
+}
+
+// place packs one more message into the current packing and returns
+// its round index, -1 for a local (Src == Dst) message.
+func (e *CostEval) place(msg Message) int {
+	if msg.Src == msg.Dst {
+		return -1
+	}
+	e.walk(msg.Src, msg.Dst)
+	ri := e.firstFree()
+	if ri == e.nrounds {
+		if ri == len(e.rounds) {
+			e.rounds = append(e.rounds, costRound{})
+		}
+		e.nrounds++
+	}
+	e.occupy(ri)
+	r := &e.rounds[ri]
+	if msg.Bytes > r.maxBytes {
+		r.maxBytes = msg.Bytes
+	}
+	if len(e.path) > r.maxHops {
+		r.maxHops = len(e.path)
+	}
+	return ri
 }
 
 // Round returns the largest message (in bytes) and the longest path

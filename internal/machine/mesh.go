@@ -95,13 +95,16 @@ func (m *Mesh2D) Time(msgs []Message) float64 {
 	return t
 }
 
-// Rounds packs the pattern exactly as Time does and calls visit with
-// each contention round's largest message (bytes) and longest path
-// (hops), in packing order.
-func (m *Mesh2D) Rounds(msgs []Message, visit func(maxBytes int64, maxHops int)) {
+// StreamRounds packs a streamed pattern exactly as Time packs the
+// list it streams, and calls visit with each contention round's
+// largest message (bytes) and longest path (hops), in packing order.
+// Each message is packed as it arrives and none is kept, so a pattern
+// can be priced as it is enumerated.
+func (m *Mesh2D) StreamRounds(s Stream, visit func(maxBytes int64, maxHops int)) {
 	e := evalPool.Get().(*CostEval)
 	e.bind(m)
-	for i, nr := 0, e.Assign(msgs, nil); i < nr; i++ {
+	s(func(msg Message) { e.place(msg) })
+	for i := 0; i < e.nrounds; i++ {
 		visit(e.Round(i))
 	}
 	evalPool.Put(e)
@@ -173,24 +176,4 @@ func (m *Mesh2D) PatternStats(msgs []Message) Stats {
 		}
 	}
 	return st
-}
-
-// Aggregate merges messages with identical (src, dst) into one, the
-// message-vectorized execution of a pattern (Section 4.5).
-func Aggregate(msgs []Message) []Message {
-	type key struct{ s, d int }
-	sum := map[key]int64{}
-	var order []key
-	for _, m := range msgs {
-		k := key{m.Src, m.Dst}
-		if _, ok := sum[k]; !ok {
-			order = append(order, k)
-		}
-		sum[k] += m.Bytes
-	}
-	out := make([]Message, 0, len(order))
-	for _, k := range order {
-		out = append(out, Message{Src: k.s, Dst: k.d, Bytes: sum[k]})
-	}
-	return out
 }
