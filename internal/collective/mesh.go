@@ -117,8 +117,14 @@ func ScheduleMeshDim(m *machine.Mesh2D, p Pattern, dim int, bytes int64, algo st
 	return scheduleLines(m, p, dimLines(m, dim), bytes, algo, axisScope(dim))
 }
 
-// axisScope names the scope of a per-line collective along dim.
-func axisScope(dim int) string { return fmt.Sprintf("axis%d", dim) }
+// axisScope names the scope of a per-line collective along dim (0 or
+// 1).
+func axisScope(dim int) string {
+	if dim == 0 {
+		return "axis0"
+	}
+	return "axis1"
+}
 
 // scheduleLines builds and prices the named algorithm's schedule over
 // a line set; scope "" marks a machine-spanning total collective

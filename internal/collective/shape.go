@@ -13,9 +13,11 @@ import "repro/internal/machine"
 // The template compiler (template.go) packs each round as it arrives,
 // so no schedule is ever stored whole and a repeated round compiles
 // once; the template then prices any payload by arithmetic, which is
-// how every selection is made. Only the schedule dumps (Schedule*,
-// MacroSchedule) instantiate a shape into concrete messages,
-// expanding the repeats.
+// how every selection is made. A pipelined chain also describes its
+// rounds structurally (shapeVariant.segs), so the compiler can price
+// them from the line set's hops without streaming them. Only the
+// schedule dumps (Schedule*, MacroSchedule) instantiate a shape into
+// concrete messages, expanding the repeats.
 
 // shapeMsg is one byte-symbolic message: at payload B it carries
 // coef * ceil(B/div) bytes.
@@ -32,32 +34,42 @@ type shapeRound []shapeMsg
 
 // shapeSink consumes a streamed schedule: a round in broadcast order
 // and the number of times (≥ 1) it runs back to back. The round's
-// backing array belongs to the emitter, which reuses it for the next
+// backing array is the emitter's round buffer, reused for the next
 // round, so a sink copies whatever it keeps.
 type shapeSink func(r shapeRound, rep int)
+
+// shapeEmitter streams a schedule into a sink, building every round
+// in buf: the buffer is resliced and grown as needed and returned, so
+// a caller that keeps it (the template compiler's scratch) emits the
+// next schedule without allocating rounds.
+type shapeEmitter func(buf shapeRound, sink shapeSink) shapeRound
 
 // shapeVariant is one candidate schedule of an algorithm. Most
 // algorithms emit exactly one; the pipelined chain emits one per
 // segment count, applicable when the payload reaches minBytes and
 // picked by broadcast cost at evaluation time (algoTemplate.pick).
 // emit streams the variant's rounds into a sink; it may be called
-// more than once.
+// more than once. segs > 0 marks a pipelined chain of that many
+// segments over lines (emitChainSeg), whose every round is a window of
+// the lines' hops.
 type shapeVariant struct {
 	minBytes int64
-	emit     func(sink shapeSink)
+	emit     shapeEmitter
+	segs     int
+	lines    [][]int
 }
 
 // oneVariant wraps an emitter as an algorithm's only candidate.
-func oneVariant(emit func(sink shapeSink)) []shapeVariant {
+func oneVariant(emit shapeEmitter) []shapeVariant {
 	return []shapeVariant{{emit: emit}}
 }
 
 // instantiate materializes a symbolic schedule at a concrete payload
 // (broadcast orientation), each repeated round expanded into its own
-// copies.
+// copies. The emitter grows its own round buffer.
 func instantiate(v shapeVariant, bytes int64) []Round {
 	var rounds []Round
-	v.emit(func(sr shapeRound, rep int) {
+	v.emit(nil, func(sr shapeRound, rep int) {
 		for ; rep > 0; rep-- {
 			r := make(Round, len(sr))
 			for j, sm := range sr {
@@ -80,8 +92,8 @@ func wholePayload(src, dst int) shapeMsg { return shapeMsg{src: src, dst: dst, c
 // serializes them on the root's few outgoing links — exactly the old
 // naive cost for a total collective).
 func shapeFlat(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	return oneVariant(func(sink shapeSink) {
-		var r shapeRound
+	return oneVariant(func(r shapeRound, sink shapeSink) shapeRound {
+		r = r[:0]
 		for _, line := range ls {
 			for _, dst := range line[1:] {
 				r = append(r, wholePayload(line[0], dst))
@@ -90,6 +102,7 @@ func shapeFlat(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 		if len(r) > 0 {
 			sink(r, 1)
 		}
+		return r
 	})
 }
 
@@ -101,13 +114,12 @@ func shapeFlat(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // conflict-free wherever the grid extents are powers of two, which
 // makes it the cheapest tree on every default mesh.
 func shapeBisection(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	return oneVariant(func(sink shapeSink) {
+	return oneVariant(func(r shapeRound, sink shapeSink) shapeRound {
 		n := maxLineLen(ls)
 		top := 1
 		for top < n {
 			top *= 2
 		}
-		var r shapeRound
 		for d := top / 2; d >= 1; d /= 2 {
 			r = r[:0]
 			for _, line := range ls {
@@ -119,6 +131,7 @@ func shapeBisection(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 				sink(r, 1)
 			}
 		}
+		return r
 	})
 }
 
@@ -129,9 +142,8 @@ func shapeBisection(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // grid — and how much the round's messages conflict — depends on the
 // mesh shape and the line orientation.
 func shapeBinomial(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	return oneVariant(func(sink shapeSink) {
+	return oneVariant(func(r shapeRound, sink shapeSink) shapeRound {
 		n := maxLineLen(ls)
-		var r shapeRound
 		for dist := 1; dist < n; dist *= 2 {
 			r = r[:0]
 			for _, line := range ls {
@@ -143,6 +155,7 @@ func shapeBinomial(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 				sink(r, 1)
 			}
 		}
+		return r
 	})
 }
 
@@ -154,13 +167,12 @@ func shapeBinomial(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // Rounds are emitted unconditionally (possibly empty), as this
 // algorithm always has.
 func shapeDimTree(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	return oneVariant(func(sink shapeSink) {
+	return oneVariant(func(r shapeRound, sink shapeSink) shapeRound {
 		root := 0
 		if len(ls) > 0 && len(ls[0]) > 0 {
 			root = ls[0][0]
 		}
 		rx, ry := m.Coords(root)
-		var r shapeRound
 		for dist := 1; dist < m.P; dist *= 2 {
 			r = r[:0]
 			for rel := 0; rel < dist && rel+dist < m.P; rel++ {
@@ -177,6 +189,7 @@ func shapeDimTree(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 			}
 			sink(r, 1)
 		}
+		return r
 	})
 }
 
@@ -189,11 +202,12 @@ func shapeDimTree(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 // the concrete machine and payload wins at pricing time.
 func shapeChain(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 	if maxLineLen(ls) < 2 {
-		return oneVariant(func(shapeSink) {})
+		return oneVariant(func(r shapeRound, _ shapeSink) shapeRound { return r })
 	}
 	vs := make([]shapeVariant, 0, len(chainSegments))
 	for _, s := range chainSegments {
-		v := shapeVariant{emit: func(sink shapeSink) { emitChainSeg(ls, s, sink) }}
+		v := shapeVariant{segs: s, lines: ls,
+			emit: func(r shapeRound, sink shapeSink) shapeRound { return emitChainSeg(ls, s, r, sink) }}
 		if s > 1 {
 			v.minBytes = int64(s)
 		}
@@ -202,12 +216,11 @@ func shapeChain(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 	return vs
 }
 
-// emitChainSeg streams the chain schedule with exactly s segments;
-// segment j reaches line position i (1-based) in round i−1+j.
-func emitChainSeg(ls [][]int, s int, sink shapeSink) {
+// emitChainSeg streams the chain schedule with exactly s segments,
+// building its rounds in r; segment j reaches line position i
+// (1-based) in round i−1+j.
+func emitChainSeg(ls [][]int, s int, r shapeRound, sink shapeSink) shapeRound {
 	n := maxLineLen(ls)
-	// Each line carries at most one message per in-flight segment.
-	r := make(shapeRound, 0, len(ls)*min(s, n-1))
 	for t := 0; t < n-1+s-1; t++ {
 		r = r[:0]
 		for _, line := range ls {
@@ -220,6 +233,7 @@ func emitChainSeg(ls [][]int, s int, sink shapeSink) {
 			sink(r, 1)
 		}
 	}
+	return r
 }
 
 // shapeScatterAllgather is the large-payload broadcast: a binomial
@@ -231,17 +245,16 @@ func emitChainSeg(ls [][]int, s int, sink shapeSink) {
 // Total traffic is ≈2·bytes per link instead of bytes·n, which wins
 // once payloads dwarf startups.
 func shapeScatterAllgather(m *machine.Mesh2D, ls [][]int) []shapeVariant {
-	return oneVariant(func(sink shapeSink) {
+	return oneVariant(func(r shapeRound, sink shapeSink) shapeRound {
 		n := maxLineLen(ls)
 		if n < 2 {
-			return
+			return r
 		}
 		div := int64(n)
 		top := 1
 		for top < n {
 			top *= 2
 		}
-		var r shapeRound
 		for dist := top / 2; dist >= 1; dist /= 2 {
 			r = r[:0]
 			for _, line := range ls {
@@ -267,5 +280,6 @@ func shapeScatterAllgather(m *machine.Mesh2D, ls [][]int) []shapeVariant {
 			}
 		}
 		sink(r, n-1)
+		return r
 	})
 }

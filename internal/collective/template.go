@@ -15,7 +15,10 @@ import (
 // template. Compilation streams: each round is packed as its emitter
 // hands it over and is never stored as messages, and a repeated round
 // (emitted once with its count, or equal in partition to the round
-// before) compiles to one priced round with a repeat count, so a
+// before) compiles to one priced round with a repeat count. A
+// pipelined chain is not packed round by round at all when its line
+// set's hops are link-disjoint (evaluator.chainHops), and equal
+// partitions within a variant share one copy (evaluator.intern), so a
 // template's size and compile work follow the schedule's distinct
 // structure rather than its message volume. Evaluating the template
 // at a payload is then pure arithmetic over the frozen structure: per
@@ -67,7 +70,8 @@ func (g *contGroup) maxBytes(b int64) int64 {
 // pricedRound is one schedule round with its precomputed contention
 // partition, groups in creation (pricing) order, and the number of
 // times it runs back to back: consecutive rounds with equal
-// partitions compile to one pricedRound.
+// partitions compile to one pricedRound. groups is read-only and may
+// be shared with other rounds of the variant that partition equally.
 type pricedRound struct {
 	groups []contGroup
 	rep    int
@@ -99,67 +103,166 @@ func foldRounds(rounds []pricedRound, m *machine.Mesh2D, bytes int64, start floa
 
 // evaluator bundles the reusable compilation scratch for one mesh:
 // the flat-state contention evaluator whose byte-independent packing
-// partitions each round, plus the message, round-assignment and
-// contention-group buffers every round compiles through.
+// partitions each round, the emitters' round buffer, the message,
+// round-assignment and contention-group buffers every round compiles
+// through, a chain's per-position hop lengths, and the partitions
+// interned for the variant being compiled.
 type evaluator struct {
-	ev     *machine.CostEval
-	buf    []machine.Message
-	asg    []int
-	groups []contGroup
+	m        *machine.Mesh2D
+	ev       *machine.CostEval
+	round    shapeRound
+	buf      []machine.Message
+	asg      []int
+	groups   []contGroup
+	hops     []int
+	interned [][]contGroup
 }
 
 func newEvaluator(m *machine.Mesh2D) *evaluator {
-	return &evaluator{ev: machine.NewCostEval(m)}
+	return &evaluator{m: m, ev: machine.NewCostEval(m)}
 }
 
-// appendRound compiles one streamed round onto a priced sequence,
-// mirrored (swapped endpoints) for a reduction, whose paths — and
-// therefore contention partition — differ from the broadcast
-// orientation under XY routing. A round whose partition equals the
+// appendRound adds one compiled round — a partition in scratch — with
+// its repeats to a priced sequence. A partition equal to the
 // sequence's last round only adds its repeats there.
-func (e *evaluator) appendRound(seq []pricedRound, sr shapeRound, rep int, mirror bool) []pricedRound {
-	gs := e.compileRound(sr, mirror)
+func (e *evaluator) appendRound(seq []pricedRound, gs []contGroup, rep int) []pricedRound {
 	if n := len(seq); n > 0 && sameGroups(seq[n-1].groups, gs) {
 		seq[n-1].rep += rep
 		return seq
 	}
-	return append(seq, pricedRound{groups: cloneGroups(gs), rep: rep})
+	return append(seq, pricedRound{groups: e.intern(gs), rep: rep})
+}
+
+// intern returns the variant's stored partition equal to the scratch
+// one, copying it out the first time it appears: a total line's chain
+// rounds alternate between a few partitions as the window crosses the
+// row wraps, and each is stored once. Sharing changes no cost, since
+// foldRounds still adds every round's groups in round order.
+func (e *evaluator) intern(gs []contGroup) []contGroup {
+	for i := len(e.interned) - 1; i >= 0; i-- {
+		if sameGroups(e.interned[i], gs) {
+			return e.interned[i]
+		}
+	}
+	c := cloneGroups(gs)
+	e.interned = append(e.interned, c)
+	return c
 }
 
 // compileRound partitions one round into contention groups via the
-// coster's byte-independent packing and collects each group's hop
-// maximum and size terms, into scratch valid until the next call.
+// coster's byte-independent packing, mirrored (swapped endpoints) for
+// a reduction, whose paths — and therefore contention partition —
+// differ from the broadcast orientation under XY routing. It collects
+// each group's hop maximum and size terms into scratch valid until
+// the next call.
 func (e *evaluator) compileRound(sr shapeRound, mirror bool) []contGroup {
-	if cap(e.buf) < len(sr) {
-		e.buf = make([]machine.Message, len(sr))
-	}
-	buf := e.buf[:len(sr)]
-	for j, sm := range sr {
+	buf := e.buf[:0]
+	for _, sm := range sr {
 		if mirror {
-			buf[j] = machine.Message{Src: sm.dst, Dst: sm.src}
+			buf = append(buf, machine.Message{Src: sm.dst, Dst: sm.src})
 		} else {
-			buf[j] = machine.Message{Src: sm.src, Dst: sm.dst}
+			buf = append(buf, machine.Message{Src: sm.src, Dst: sm.dst})
 		}
 	}
-	if cap(e.asg) < len(sr) {
-		e.asg = make([]int, len(sr))
-	}
-	assign := e.asg[:len(sr)]
-	nr := e.ev.Assign(buf, assign)
-	if cap(e.groups) < nr {
-		e.groups = append(e.groups[:cap(e.groups)], make([]contGroup, nr-cap(e.groups))...)
-	}
-	gs := e.groups[:nr]
+	e.buf = buf
+	nr := e.ev.Assign(buf, e.assignScratch(len(buf)))
+	gs := e.groupScratch(nr)
 	for i := range gs {
 		_, gs[i].maxHops = e.ev.Round(i)
-		gs[i].terms = gs[i].terms[:0]
 	}
 	for j, sm := range sr {
-		if assign[j] >= 0 {
-			gs[assign[j]].addTerm(sm.coef, sm.div)
+		if a := e.asg[j]; a >= 0 {
+			gs[a].addTerm(sm.coef, sm.div)
 		}
 	}
 	return gs
+}
+
+// assignScratch returns the round-assignment buffer sized for n
+// messages.
+func (e *evaluator) assignScratch(n int) []int {
+	if cap(e.asg) < n {
+		e.asg = make([]int, n)
+	}
+	e.asg = e.asg[:n]
+	return e.asg
+}
+
+// groupScratch returns n empty contention groups of scratch, their
+// term buffers kept.
+func (e *evaluator) groupScratch(n int) []contGroup {
+	if cap(e.groups) < n {
+		e.groups = append(e.groups[:cap(e.groups)], make([]contGroup, n-cap(e.groups))...)
+	}
+	gs := e.groups[:n]
+	for i := range gs {
+		gs[i].maxHops = 0
+		gs[i].terms = gs[i].terms[:0]
+	}
+	return gs
+}
+
+// chainHops packs a line set's hops — line[i−1]→line[i] over every
+// line and position, mirrored for a reduction — once with the
+// evaluator's packer, and reports whether they fit one contention
+// round with none local. Then no two hops share a directed link, and
+// first-fit puts every message of every chain round (a subset of the
+// hops) into group 0: each round's partition is one group, its
+// window's longest hop with the single size term (1, s). On true,
+// e.hops[i] holds the longest hop into line position i over the set.
+func (e *evaluator) chainHops(ls [][]int, mirror bool) bool {
+	buf := e.buf[:0]
+	for _, line := range ls {
+		for i := 1; i < len(line); i++ {
+			if mirror {
+				buf = append(buf, machine.Message{Src: line[i], Dst: line[i-1]})
+			} else {
+				buf = append(buf, machine.Message{Src: line[i-1], Dst: line[i]})
+			}
+		}
+	}
+	e.buf = buf
+	asg := e.assignScratch(len(buf))
+	if e.ev.Assign(buf, asg) != 1 {
+		return false
+	}
+	for _, a := range asg {
+		if a != 0 {
+			return false
+		}
+	}
+	n := maxLineLen(ls)
+	if cap(e.hops) < n {
+		e.hops = make([]int, n)
+	}
+	e.hops = e.hops[:n]
+	clear(e.hops)
+	for _, line := range ls {
+		for i := 1; i < len(line); i++ {
+			x1, y1 := e.m.Coords(line[i-1])
+			x2, y2 := e.m.Coords(line[i])
+			e.hops[i] = max(e.hops[i], max(x2-x1, x1-x2)+max(y2-y1, y1-y2))
+		}
+	}
+	return true
+}
+
+// chainRounds hands the s-segment chain's rounds, compiled from the
+// hop lengths chainHops left in e.hops, to add in emission order:
+// round t carries the hops into positions max(1, t−s+2)..min(t+1, n−1)
+// (emitChainSeg's window), all in one contention group.
+func (e *evaluator) chainRounds(s int, add func(gs []contGroup)) {
+	n := len(e.hops)
+	gs := e.groupScratch(1)
+	for t := 0; t < n-1+s-1; t++ {
+		h := 0
+		for i := max(1, t-s+2); i <= t+1 && i < n; i++ {
+			h = max(h, e.hops[i])
+		}
+		gs[0].maxHops = h
+		gs[0].terms = append(gs[0].terms[:0], byteTerm{coef: 1, div: int64(s)})
+		add(gs)
+	}
 }
 
 // sameGroups reports whether two contention partitions price
@@ -246,7 +349,10 @@ func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) int {
 // pattern, packing each round as the variant streams it. A reduction
 // runs the broadcast schedule mirrored — reversed rounds, swapped
 // endpoints — so its rounds compile mirrored and the compiled list is
-// then reversed.
+// then reversed. Chain variants over a line set whose hops are
+// link-disjoint in every compiled orientation are compiled from the
+// hops instead (chainHops); the hop set is packed once for all of
+// them.
 func (e *evaluator) compileAlgo(name string, vs []shapeVariant, p Pattern) algoTemplate {
 	at := algoTemplate{name: name, variants: make([]variantTemplate, len(vs))}
 	mirror := p == Reduction
@@ -254,16 +360,29 @@ func (e *evaluator) compileAlgo(name string, vs []shapeVariant, p Pattern) algoT
 	// reduction with several variants also compiles the broadcast
 	// orientation, from the same stream.
 	bcast := mirror && len(vs) > 1
+	disjoint := len(vs) > 0 && vs[0].segs > 0 &&
+		(!bcast || e.chainHops(vs[0].lines, false)) && e.chainHops(vs[0].lines, mirror)
 	for i, v := range vs {
 		vt := &at.variants[i]
 		vt.minBytes = v.minBytes
-		v.emit(func(r shapeRound, rep int) {
-			vt.nrounds += rep
-			vt.main = e.appendRound(vt.main, r, rep, mirror)
-			if bcast {
-				vt.bcast = e.appendRound(vt.bcast, r, rep, false)
-			}
-		})
+		e.interned = e.interned[:0]
+		if disjoint {
+			e.chainRounds(v.segs, func(gs []contGroup) {
+				vt.nrounds++
+				vt.main = e.appendRound(vt.main, gs, 1)
+				if bcast {
+					vt.bcast = e.appendRound(vt.bcast, gs, 1)
+				}
+			})
+		} else {
+			e.round = v.emit(e.round, func(r shapeRound, rep int) {
+				vt.nrounds += rep
+				vt.main = e.appendRound(vt.main, e.compileRound(r, mirror), rep)
+				if bcast {
+					vt.bcast = e.appendRound(vt.bcast, e.compileRound(r, false), rep)
+				}
+			})
+		}
 		if mirror {
 			slices.Reverse(vt.main)
 		}
@@ -422,43 +541,54 @@ type MeshTemplate struct {
 type TemplateBuilder struct {
 	m      *machine.Mesh2D
 	e      *evaluator
-	totals map[string]*lineTemplate
-	dims   map[string]*lineTemplate
-	planes map[string]*planesTemplate
+	lines  map[builderKey]*lineTemplate
+	planes map[builderKey]*planesTemplate
 }
+
+// builderKey identifies one compiled substructure of a builder: the
+// line set along dim (totalDim for the machine-spanning total line;
+// the full-plane composition is always keyed with totalDim) under a
+// pattern and force pin.
+type builderKey struct {
+	p     Pattern
+	dim   int
+	force string
+}
+
+// totalDim keys the structures that span the whole machine.
+const totalDim = -1
 
 // NewTemplateBuilder returns an empty builder bound to the mesh
 // geometry.
 func NewTemplateBuilder(m *machine.Mesh2D) *TemplateBuilder {
 	return &TemplateBuilder{m: m, e: newEvaluator(m),
-		totals: map[string]*lineTemplate{},
-		dims:   map[string]*lineTemplate{},
-		planes: map[string]*planesTemplate{},
+		lines:  map[builderKey]*lineTemplate{},
+		planes: map[builderKey]*planesTemplate{},
 	}
 }
 
 func (b *TemplateBuilder) totalTmpl(p Pattern, force string) *lineTemplate {
-	k := fmt.Sprintf("%d|%s", p, force)
-	t, ok := b.totals[k]
+	k := builderKey{p: p, dim: totalDim, force: force}
+	t, ok := b.lines[k]
 	if !ok {
 		t = buildLineTemplate(b.e, b.m, p, totalLine(b.m, 0), force, "")
-		b.totals[k] = t
+		b.lines[k] = t
 	}
 	return t
 }
 
 func (b *TemplateBuilder) dimTmpl(p Pattern, dim int, force string) *lineTemplate {
-	k := fmt.Sprintf("%d|%d|%s", p, dim, force)
-	t, ok := b.dims[k]
+	k := builderKey{p: p, dim: dim, force: force}
+	t, ok := b.lines[k]
 	if !ok {
 		t = buildLineTemplate(b.e, b.m, p, dimLines(b.m, dim), force, axisScope(dim))
-		b.dims[k] = t
+		b.lines[k] = t
 	}
 	return t
 }
 
 func (b *TemplateBuilder) planesTmpl(p Pattern, force string) *planesTemplate {
-	k := fmt.Sprintf("%d|%s", p, force)
+	k := builderKey{p: p, dim: totalDim, force: force}
 	t, ok := b.planes[k]
 	if !ok {
 		t = buildPlanesTemplate(b.e, b.m, p, []Plane{FullPlane(b.m)}, force)
