@@ -162,9 +162,8 @@ func remoteStats(ctx context.Context, f *remoteFleet) {
 		fatal(err)
 	}
 	fmt.Printf("%s: api %s, %d workers\n", from, st.Version, st.Workers)
-	fmt.Printf("cache: plan %d/%d, kernel %d/%d, select %d/%d (hits/misses); disk plan %d/%d, kernel %d/%d\n",
+	fmt.Printf("cache: plan %d/%d, kernel %d/%d (hits/misses); disk plan %d/%d, kernel %d/%d\n",
 		st.Cache.PlanHits, st.Cache.PlanMisses, st.Cache.KernelHits, st.Cache.KernelMisses,
-		st.Cache.SelectHits, st.Cache.SelectMisses,
 		st.Cache.DiskHits, st.Cache.DiskMisses, st.Cache.KernelDiskHits, st.Cache.KernelDiskMisses)
 	fmt.Printf("requests: %d optimize, %d batch, %d lattice, %d jobs, %d rate-limited\n",
 		st.Requests.Optimize, st.Requests.Batch, st.Requests.Lattice, st.Requests.Jobs, st.Requests.RateLimited)

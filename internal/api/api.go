@@ -133,10 +133,6 @@ type PhaseBreakdown struct {
 	AlignUs    float64 `json:"align_us,omitempty"`
 	KernelUs   float64 `json:"kernel_us,omitempty"`
 	KernelOps  int     `json:"kernel_ops,omitempty"`
-	SelectUs   float64 `json:"select_us,omitempty"`
-	// SelectMemo summarizes the collective-selection memo outcome:
-	// "hit", "miss" or "mixed" (empty when no selection ran).
-	SelectMemo string  `json:"select_memo,omitempty"`
 	StoreUs    float64 `json:"store_us,omitempty"`
 	CostUs     float64 `json:"cost_us,omitempty"`
 	TotalUs    float64 `json:"total_us"`
@@ -349,9 +345,6 @@ type SnapshotList struct {
 }
 
 // CacheStats mirrors the engine's in-memory cache counters.
-// SelectHits/SelectMisses are the collective-selection memo: a hit
-// served a (machine, pattern, dims, bytes) choice without rebuilding
-// any schedule.
 type CacheStats struct {
 	KernelHits       uint64 `json:"kernel_hits"`
 	KernelMisses     uint64 `json:"kernel_misses"`
@@ -361,8 +354,11 @@ type CacheStats struct {
 	PlanMisses       uint64 `json:"plan_misses"`
 	DiskHits         uint64 `json:"disk_hits"`
 	DiskMisses       uint64 `json:"disk_misses"`
-	SelectHits       uint64 `json:"select_hits"`
-	SelectMisses     uint64 `json:"select_misses"`
+	// Deprecated: SelectHits and SelectMisses are always 0. The
+	// engine keeps no selection memo; the session pricer's template
+	// counters (Compiled*) cover collective selection.
+	SelectHits   uint64 `json:"select_hits"`
+	SelectMisses uint64 `json:"select_misses"`
 	// Compiled* mirror the session pricer: its selection-template
 	// cache and evaluation counter. Compiled lattice artifacts are
 	// views of plan-tier entries, counted under Plan* and Disk*.
@@ -431,17 +427,19 @@ type SweeperStats struct {
 // across every scenario the daemon has optimized: where the engine's
 // time actually goes. Align/kernel/compute time counts only scenarios
 // whose plans were computed this session (cache and store hits
-// contribute their select/store/total figures but not the historical
+// contribute their store/cost/total figures but not the historical
 // compute cost).
 type PhaseTotals struct {
 	Scenarios uint64  `json:"scenarios"`
 	ComputeUs float64 `json:"compute_us"`
 	AlignUs   float64 `json:"align_us"`
 	KernelUs  float64 `json:"kernel_us"`
-	SelectUs  float64 `json:"select_us"`
-	StoreUs   float64 `json:"store_us"`
-	CostUs    float64 `json:"cost_us"`
-	TotalUs   float64 `json:"total_us"`
+	// Deprecated: SelectUs is always 0. Selection time is part of
+	// CostUs.
+	SelectUs float64 `json:"select_us"`
+	StoreUs  float64 `json:"store_us"`
+	CostUs   float64 `json:"cost_us"`
+	TotalUs  float64 `json:"total_us"`
 }
 
 // ForwardHeader marks a request as forwarded by a cluster peer; its

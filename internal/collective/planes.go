@@ -89,6 +89,20 @@ func planePhaseLines(m *machine.Mesh2D, planes []Plane, dimFirst int) (phase1, p
 // as one name, phases in broadcast order.
 func planeAlgoName(algo1, algo2 string) string { return algo1 + "+" + algo2 }
 
+// planeAlgoNames[i][j] is planeAlgoName(meshAlgos[i].name,
+// meshAlgos[j].name), rendered once so that neither compiling nor
+// evaluating a plane template builds a name. Read-only after init.
+var planeAlgoNames = func() [][]string {
+	names := make([][]string, len(meshAlgos))
+	for i, a1 := range meshAlgos {
+		names[i] = make([]string, len(meshAlgos))
+		for j, a2 := range meshAlgos {
+			names[i][j] = planeAlgoName(a1.name, a2.name)
+		}
+	}
+	return names
+}()
+
 // SplitPlaneAlgorithm splits a "algo1+algo2" plane-schedule name back
 // into its phase algorithms.
 func SplitPlaneAlgorithm(name string) (algo1, algo2 string, ok bool) {

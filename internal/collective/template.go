@@ -316,6 +316,7 @@ type variantTemplate struct {
 // algoTemplate is one algorithm's compiled candidates.
 type algoTemplate struct {
 	name     string
+	algo     int // position in meshAlgos
 	variants []variantTemplate
 }
 
@@ -404,14 +405,16 @@ type lineTemplate struct {
 
 func buildLineTemplate(e *evaluator, m *machine.Mesh2D, p Pattern, ls [][]int, force, scope string) *lineTemplate {
 	t := &lineTemplate{pattern: p, scope: scope}
-	for _, a := range meshAlgos {
+	for ai, a := range meshAlgos {
 		if force != "" && a.name != force {
 			continue
 		}
 		if a.totalOnly && scope != "" {
 			continue
 		}
-		t.algos = append(t.algos, e.compileAlgo(a.name, a.shape(m, ls), p))
+		at := e.compileAlgo(a.name, a.shape(m, ls), p)
+		at.algo = ai
+		t.algos = append(t.algos, at)
 	}
 	if len(t.algos) == 0 {
 		return buildLineTemplate(e, m, p, ls, "", scope)
@@ -443,13 +446,10 @@ func (t *lineTemplate) evalWinner(m *machine.Mesh2D, bytes int64) (Choice, *vari
 }
 
 // planeOrderTemplate compiles one dimension order of the two-phase
-// plane composition. names precomputes the composed "algo1+algo2"
-// rendering for every phase-algorithm pair, keeping Eval
-// allocation-free.
+// plane composition.
 type planeOrderTemplate struct {
 	scope          string
 	phase1, phase2 *lineTemplate
-	names          [][]string
 }
 
 // planesTemplate is the compiled SelectMeshPlanes: both dimension
@@ -464,19 +464,11 @@ func buildPlanesTemplate(e *evaluator, m *machine.Mesh2D, p Pattern, planes []Pl
 	for _, dimFirst := range []int{0, 1} {
 		scope := planeScope(dimFirst)
 		ls1, ls2 := planePhaseLines(m, planes, dimFirst)
-		o := planeOrderTemplate{
+		t.orders[dimFirst] = planeOrderTemplate{
 			scope:  scope,
 			phase1: buildLineTemplate(e, m, p, ls1, force, scope),
 			phase2: buildLineTemplate(e, m, p, ls2, force, scope),
 		}
-		o.names = make([][]string, len(o.phase1.algos))
-		for i := range o.phase1.algos {
-			o.names[i] = make([]string, len(o.phase2.algos))
-			for j := range o.phase2.algos {
-				o.names[i][j] = planeAlgoName(o.phase1.algos[i].name, o.phase2.algos[j].name)
-			}
-		}
-		t.orders[dimFirst] = o
 	}
 	return t
 }
@@ -503,7 +495,8 @@ func (t *planesTemplate) eval(m *machine.Mesh2D, bytes int64) Choice {
 		} else {
 			cost = foldRounds(v2.main, m, bytes, ch1.Cost)
 		}
-		cand := Choice{Pattern: t.pattern, Algorithm: o.names[a1][a2],
+		name := planeAlgoNames[o.phase1.algos[a1].algo][o.phase2.algos[a2].algo]
+		cand := Choice{Pattern: t.pattern, Algorithm: name,
 			Scope: o.scope, Cost: cost, Rounds: v1.nrounds + v2.nrounds}
 		if best.Cost < 0 || cand.Cost < best.Cost {
 			best = cand

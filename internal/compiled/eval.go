@@ -33,25 +33,16 @@ func (a *Artifact) Eval(pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dis
 	if a.Err != "" {
 		return Point{}
 	}
-	return EvalPlans(a.Plans, pr, spec, dist, n, elemBytes, nil)
+	return EvalPlans(a.Plans, pr, spec, dist, n, elemBytes)
 }
-
-// Selector runs one collective selection of a plan: sel computes the
-// choice, through the pricer (or cold, for a nil pricer). The
-// selection is a pure function of the machine spec, p, dims and
-// bytes, so a Selector may memoize on them; dims carries the macro's
-// virtual grid axes where they decide the scheduling mode, nil
-// otherwise. A nil Selector runs the selection directly, and no sel
-// closure is built.
-type Selector func(p collective.Pattern, dims []int, bytes int64, sel func() collective.Choice) collective.Choice
 
 // EvalPlans prices plans at one machine point — spec, an n×n virtual
 // grid under dist, elemBytes per element — and aggregates them as the
 // engine reports a scenario. It is the program's one cost dispatch:
 // engine sessions and compiled artifacts both price through it.
-func EvalPlans(plans []PlanShape, pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64, sel Selector) Point {
+func EvalPlans(plans []PlanShape, pr *Pricer, spec scenarios.MachineSpec, dist distrib.Dist2D, n int, elemBytes int64) Point {
 	tg := newTarget(spec)
-	return tg.eval(plans, pr, dist, n, elemBytes, sel, "")
+	return tg.eval(plans, pr, dist, n, elemBytes, "")
 }
 
 // target is the machine instance of one spec, built once and priced
@@ -77,7 +68,7 @@ func newTarget(spec scenarios.MachineSpec) target {
 // eval prices plans at one point of the target. When the point's
 // collective summary equals prev, prev itself is returned as the
 // summary and no string is built.
-func (tg *target) eval(plans []PlanShape, pr *Pricer, dist distrib.Dist2D, n int, elemBytes int64, sel Selector, prev string) Point {
+func (tg *target) eval(plans []PlanShape, pr *Pricer, dist distrib.Dist2D, n int, elemBytes int64, prev string) Point {
 	var pt Point
 	var cc choiceCounts
 	for i := range plans {
@@ -86,7 +77,7 @@ func (tg *target) eval(plans []PlanShape, pr *Pricer, dist distrib.Dist2D, n int
 		if pl.Vectorizable {
 			pt.Vectorizable++
 		}
-		pt.ModelTime += tg.planTime(pl, pr, dist, n, elemBytes, sel, &cc)
+		pt.ModelTime += tg.planTime(pl, pr, dist, n, elemBytes, &cc)
 	}
 	pt.Collectives = cc.render(prev)
 	return pt
@@ -115,14 +106,14 @@ func (tg *target) eval(plans []PlanShape, pr *Pricer, dist distrib.Dist2D, n int
 //
 // The machine spec may pin the selection to one named algorithm (the
 // "mesh8x8:flat" spec grammar) for ablations.
-func (tg *target) planTime(pl *PlanShape, pr *Pricer, dist distrib.Dist2D, n int, eb int64, sel Selector, cc *choiceCounts) float64 {
+func (tg *target) planTime(pl *PlanShape, pr *Pricer, dist distrib.Dist2D, n int, eb int64, cc *choiceCounts) float64 {
 	switch {
 	case pl.Class == core.Local:
 		return 0
 	case tg.spec.Kind == scenarios.Mesh:
-		return tg.meshPlanTime(pl, pr, dist, n, eb, sel, cc)
+		return tg.meshPlanTime(pl, pr, dist, n, eb, cc)
 	default:
-		return tg.fatTreePlanTime(pl, n, eb, sel, cc)
+		return tg.fatTreePlanTime(pl, n, eb, cc)
 	}
 }
 
@@ -148,18 +139,11 @@ func macroPattern(pl *PlanShape) collective.Pattern {
 	return collective.Broadcast
 }
 
-func (tg *target) meshPlanTime(pl *PlanShape, pr *Pricer, dist distrib.Dist2D, n int, eb int64, sel Selector, cc *choiceCounts) float64 {
+func (tg *target) meshPlanTime(pl *PlanShape, pr *Pricer, dist distrib.Dist2D, n int, eb int64, cc *choiceCounts) float64 {
 	if pl.Class != core.MacroComm {
 		return pr.patternTime(&tg.mesh, dist, pl, n, eb, tg.spec.Algo, cc)
 	}
-	pattern := macroPattern(pl)
-	bytes := eb * int64(n)
-	var ch collective.Choice
-	if sel == nil {
-		ch = selectMeshMacro(pr, &tg.mesh, pattern, pl.MacroDims, bytes, tg.spec.Algo)
-	} else {
-		ch = selectMeshMacroVia(sel, pr, tg.mesh, pattern, pl.MacroDims, bytes, tg.spec.Algo)
-	}
+	ch := selectMeshMacro(pr, &tg.mesh, macroPattern(pl), pl.MacroDims, eb*int64(n), tg.spec.Algo)
 	cc.add(ch, 1)
 	return ch.Cost
 }
@@ -180,38 +164,15 @@ func selectMeshMacro(pr *Pricer, m *machine.Mesh2D, pattern collective.Pattern, 
 	}
 }
 
-// selectMeshMacroVia runs selectMeshMacro through a Selector. The mesh
-// comes by value: the sel closure escapes, and this keeps the caller's
-// target off the heap.
-func selectMeshMacroVia(sel Selector, pr *Pricer, m machine.Mesh2D, pattern collective.Pattern, vdims []int, bytes int64, force string) collective.Choice {
-	// The virtual axes key the selection where they decide the
-	// scheduling mode: a p=1 axis-0 macro and a p≥2 {0,2} macro
-	// both project to physical axis 0 but select differently.
-	var buf [2]int
-	keyDims := vdims
-	if len(physMacroDims(buf[:0], vdims)) == 0 {
-		keyDims = nil
-	}
-	return sel(pattern, keyDims, bytes, func() collective.Choice {
-		return selectMeshMacro(pr, &m, pattern, vdims, bytes, force)
-	})
-}
-
-func (tg *target) fatTreePlanTime(pl *PlanShape, n int, eb int64, sel Selector, cc *choiceCounts) float64 {
+func (tg *target) fatTreePlanTime(pl *PlanShape, n int, eb int64, cc *choiceCounts) float64 {
 	ft := &tg.ft
 	switch pl.Class {
 	case core.MacroComm:
-		pattern := macroPattern(pl)
 		bytes := eb
 		if pl.Vectorizable {
 			bytes = eb * int64(n)
 		}
-		var ch collective.Choice
-		if sel == nil {
-			ch = collective.SelectFatTree(ft, pattern, bytes, tg.spec.Algo)
-		} else {
-			ch = selectFatTreeVia(sel, *ft, pattern, bytes, tg.spec.Algo)
-		}
+		ch := collective.SelectFatTree(ft, macroPattern(pl), bytes, tg.spec.Algo)
 		cc.add(ch, 1)
 		if pl.Vectorizable {
 			return ch.Cost
@@ -233,12 +194,4 @@ func (tg *target) fatTreePlanTime(pl *PlanShape, n int, eb int64, sel Selector, 
 		}
 		return float64(n) * ft.General(1, eb)
 	}
-}
-
-// selectFatTreeVia runs a fat-tree selection through a Selector, the
-// tree by value as in selectMeshMacroVia.
-func selectFatTreeVia(sel Selector, ft machine.FatTree, pattern collective.Pattern, bytes int64, force string) collective.Choice {
-	return sel(pattern, nil, bytes, func() collective.Choice {
-		return collective.SelectFatTree(&ft, pattern, bytes, force)
-	})
 }

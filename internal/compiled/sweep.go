@@ -41,7 +41,7 @@ func (g *Grid) Sweep(a *Artifact, pr *Pricer, dist distrib.Dist2D, n int) []Swee
 		tg := newTarget(ms)
 		prev, first := "", true
 		for _, eb := range bytes {
-			pt := tg.eval(a.Plans, pr, dist, n, eb, nil, prev)
+			pt := tg.eval(a.Plans, pr, dist, n, eb, prev)
 			row := SweepRow{Machine: ms, ElemBytes: eb, Point: pt}
 			if !first && pt.Collectives != prev {
 				row.Switched, row.SwitchedFrom = true, prev

@@ -9,50 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/compiled"
-	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/scenarios"
 )
-
-// benchMacroPlan is the hot plan shape: a p≥2 broadcast macro on
-// the square big mesh, the most schedule-construction-heavy selection.
-var benchMacroPlan = compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}
-
-func benchMacroScenario() *scenarios.Scenario {
-	return &scenarios.Scenario{
-		Machine:   scenarios.MachineSpec{Kind: scenarios.Mesh, P: 16, Q: 16},
-		N:         16,
-		ElemBytes: 64,
-	}
-}
-
-// BenchmarkCollectiveMemoCold measures the unmemoized selector path
-// the engine pays without a session cache: every iteration rebuilds
-// and reprices every candidate schedule.
-func BenchmarkCollectiveMemoCold(b *testing.B) {
-	sc := benchMacroScenario()
-	var cost float64
-	for i := 0; i < b.N; i++ {
-		cost, _ = planTime(context.Background(), sc, benchMacroPlan, nil, nil, nil)
-	}
-	b.ReportMetric(cost, "model-µs")
-}
-
-// BenchmarkCollectiveMemoWarm measures the memoized path of a
-// repeated suite: after the first selection, every iteration is one
-// memo lookup. Compare against BenchmarkCollectiveMemoCold — the gap
-// is what the session memo saves per macro-communication.
-func BenchmarkCollectiveMemoWarm(b *testing.B) {
-	sc := benchMacroScenario()
-	cache := NewCache(0)
-	planTime(context.Background(), sc, benchMacroPlan, cache, nil, nil) // populate
-	b.ResetTimer()
-	var cost float64
-	for i := 0; i < b.N; i++ {
-		cost, _ = planTime(context.Background(), sc, benchMacroPlan, cache, nil, nil)
-	}
-	b.ReportMetric(cost, "model-µs")
-}
 
 // benchLatticeGrid is the 64-point capacity-planning lattice the
 // compiled-tier benchmarks sweep: 4 mesh geometries × 16 payloads,
@@ -133,7 +92,7 @@ func BenchmarkUncompiledLattice(b *testing.B) {
 					b.Fatal(ent.err)
 				}
 				for _, pl := range ent.plans {
-					t, _ := planTime(context.Background(), &sc, pl, nil, nil, nil)
+					t, _ := planTime(&sc, pl, nil)
 					sink += t
 				}
 			}
@@ -145,8 +104,8 @@ func BenchmarkUncompiledLattice(b *testing.B) {
 // BenchmarkUncompiledLatticeWarm is the realistic baseline for the
 // compiled tier: the same 64 points optimized one by one through a
 // reused session (one worker, as the compiled sweep is sequential)
-// whose plan and selection memos and pricer are already warm, so each
-// point is a plan-tier hit plus memoized costing — what a client
+// whose plan memo and pricer are already warm, so each point is a
+// plan-tier hit plus costing from warm templates — what a client
 // sweeping a lattice over /v1/optimize gets from a warm daemon.
 func BenchmarkUncompiledLatticeWarm(b *testing.B) {
 	g := benchLatticeGrid(b)

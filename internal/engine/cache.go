@@ -19,11 +19,11 @@ import (
 //   - plan tier: the complete two-step heuristic result per distinct
 //     optimization problem (canonical program + target dimension +
 //     options), which subsumes the access-graph construction and its
-//     maximum branching;
-//   - selection tier: the collective selector's choice per distinct
-//     (machine, pattern, dims, bytes) key (see selector in
-//     cost.go), so repeated suites stop rebuilding and repricing
-//     candidate schedules — the BenchmarkCollectiveSelect hot path.
+//     maximum branching.
+//
+// Collective selections are not cached here: the session's
+// compiled.Pricer compiles each selection structure once and prices
+// every payload from that template.
 //
 // Every memoized computation is a pure function of its canonical
 // key, so a hit always returns exactly what recomputation would.
@@ -47,14 +47,13 @@ type Cache struct {
 	kernelDiskHits, kernelDiskMisses atomic.Uint64
 	planHits, planMisses             atomic.Uint64
 	diskHits, diskMisses             atomic.Uint64
-	selectHits, selectMisses         atomic.Uint64
 	evictions                        atomic.Uint64
 }
 
 const cacheShards = 16
 
-// DefaultCacheCap is the default bound on cached entries across both
-// tiers. Entries are small (a few matrices or plan summaries), so the
+// DefaultCacheCap is the default bound on cached entries across the
+// plan and kernel tiers. Entries are small (a few matrices or plan summaries), so the
 // default is generous; it exists to keep truly large suites from
 // growing the process without bound (ROADMAP: eviction policy).
 const DefaultCacheCap = 1 << 16
@@ -190,9 +189,8 @@ type planSlot struct {
 // evicted key misses again on its next use.
 //
 // key is the scenario's PlanKey, used as it is: plan keys begin with
-// "m=", and no other tier's key does (kernel keys are "<op>:…",
-// selection keys "sel:…"), so the tiers share the shards without a
-// tier prefix copied onto every lookup. Compiled artifacts are views
+// "m=" and kernel keys with "<op>:", so the two tiers share the shards
+// without a tier prefix copied onto every lookup. Compiled artifacts are views
 // of plan entries (see Session.CompiledArtifact), not a tier of their
 // own.
 func (c *Cache) planDo(key string, compute func() planEntry) planEntry {
@@ -241,10 +239,6 @@ type CacheStats struct {
 	// DiskHits/DiskMisses count plan-tier memory misses that were
 	// served from / not found in the disk store (zero without one).
 	DiskHits, DiskMisses uint64
-	// SelectHits/SelectMisses count collective-selection memo lookups:
-	// a hit returns a previously selected (machine, pattern, dims,
-	// bytes) choice without rebuilding any schedule.
-	SelectHits, SelectMisses uint64
 	// CompiledTemplates is the number of compiled selection templates
 	// the session's pricer holds; CompiledTemplateHits/Misses count its
 	// cache lookups and CompiledEvals the template evaluations (each
@@ -271,8 +265,6 @@ func (c *Cache) Stats() CacheStats {
 		PlanMisses:       c.planMisses.Load(),
 		DiskHits:         c.diskHits.Load(),
 		DiskMisses:       c.diskMisses.Load(),
-		SelectHits:       c.selectHits.Load(),
-		SelectMisses:     c.selectMisses.Load(),
 		Evictions:        c.evictions.Load(),
 		Entries:          c.Len(),
 	}

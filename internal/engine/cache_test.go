@@ -259,8 +259,8 @@ func TestRunStreamOrder(t *testing.T) {
 
 // TestCacheTierKeysDisjoint: the plan tier keys entries by the bare
 // PlanKey, so a key beginning "m=" must be a plan slot and every plan
-// slot's key must begin so — no kernel or selection key may land in
-// the plan tier's key space. A compiled artifact is a view of its plan
+// slot's key must begin so — no kernel key may land in the plan
+// tier's key space. A compiled artifact is a view of its plan
 // slot: resolving one caches nothing of its own.
 func TestCacheTierKeysDisjoint(t *testing.T) {
 	s := NewSession(Options{Workers: 2})
@@ -293,7 +293,7 @@ func TestCacheTierKeysDisjoint(t *testing.T) {
 		}
 		sh.mu.Unlock()
 	}
-	for _, tier := range []string{"plan", "sel", "hnfL", "ker"} {
+	for _, tier := range []string{"plan", "hnfL", "ker"} {
 		if tiers[tier] == 0 {
 			t.Errorf("no %s entries cached (tiers %v)", tier, tiers)
 		}

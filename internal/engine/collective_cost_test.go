@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/collective"
 	"repro/internal/compiled"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -13,19 +11,12 @@ import (
 )
 
 // planTime prices one plan exactly as runOne does: through the
-// compiled cost dispatch, with collective selections memoized in
-// cache (nil: cold). It returns the choices the selector made (the
-// macro-communication selections).
-func planTime(ctx context.Context, sc *scenarios.Scenario, pl compiled.PlanShape, cache *Cache, pricer *compiled.Pricer, acc *selAcc) (float64, []collective.Choice) {
-	var choices []collective.Choice
-	sel := selector(ctx, cache, acc, sc.Machine)
-	record := func(p collective.Pattern, dims []int, bytes int64, run func() collective.Choice) collective.Choice {
-		ch := sel(p, dims, bytes, run)
-		choices = append(choices, ch)
-		return ch
-	}
-	pt := compiled.EvalPlans([]compiled.PlanShape{pl}, pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, record)
-	return pt.ModelTime, choices
+// compiled cost dispatch, with selections priced from pricer's
+// templates (nil: cold). It returns the model time and the
+// collectives summary, which names a macro plan's one choice.
+func planTime(sc *scenarios.Scenario, pl compiled.PlanShape, pricer *compiled.Pricer) (float64, string) {
+	pt := compiled.EvalPlans([]compiled.PlanShape{pl}, pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes)
+	return pt.ModelTime, pt.Collectives
 }
 
 // meshSpecs are the mesh shapes of the default, skew and big-mesh
@@ -72,15 +63,15 @@ func TestMeshMacroNeverWorseThanLegacy(t *testing.T) {
 			legacy := legacyMeshCollectiveTime(m, 16*64, reduction)
 			for _, dims := range macroDimCases {
 				sc := macroScenario(pq[0], pq[1], "")
-				cost, choices := planTime(context.Background(), sc, compiled.PlanShape{
+				cost, choice := planTime(sc, compiled.PlanShape{
 					Class: core.MacroComm, MacroReduction: reduction, MacroDims: dims,
-				}, nil, nil, nil)
+				}, nil)
 				if cost > legacy {
 					t.Errorf("mesh%dx%d dims=%v red=%v: collective cost %.0f > legacy flat %.0f",
 						pq[0], pq[1], dims, reduction, cost, legacy)
 				}
-				if len(choices) != 1 || choices[0].Algorithm == "" {
-					t.Errorf("mesh%dx%d dims=%v: macro plan recorded choices %v", pq[0], pq[1], dims, choices)
+				if _, algo, ok := strings.Cut(choice, "="); !ok || algo == "" || strings.Contains(choice, ",") {
+					t.Errorf("mesh%dx%d dims=%v: macro plan recorded choices %q", pq[0], pq[1], dims, choice)
 				}
 			}
 		}
@@ -94,14 +85,14 @@ func TestMeshMacroForcedFlatMatchesLegacy(t *testing.T) {
 		m := machine.DefaultMesh(pq[0], pq[1])
 		for _, reduction := range []bool{false, true} {
 			sc := macroScenario(pq[0], pq[1], "flat")
-			cost, choices := planTime(context.Background(), sc, compiled.PlanShape{
+			cost, choice := planTime(sc, compiled.PlanShape{
 				Class: core.MacroComm, MacroReduction: reduction, MacroDims: nil,
-			}, nil, nil, nil)
+			}, nil)
 			if want := legacyMeshCollectiveTime(m, 16*64, reduction); cost != want {
 				t.Errorf("mesh%dx%d red=%v: forced flat %.2f ≠ legacy %.2f", pq[0], pq[1], reduction, cost, want)
 			}
-			if len(choices) != 1 || choices[0].Algorithm != "flat" {
-				t.Errorf("mesh%dx%d: forced flat chose %v", pq[0], pq[1], choices)
+			if !strings.HasSuffix(choice, "=flat") || strings.Contains(choice, ",") {
+				t.Errorf("mesh%dx%d: forced flat chose %q", pq[0], pq[1], choice)
 			}
 		}
 	}
@@ -115,8 +106,8 @@ func TestMeshMacroForcedFlatMatchesLegacy(t *testing.T) {
 // the opposite.
 func TestMeshMacroTopologyAware(t *testing.T) {
 	for _, dims := range [][]int{{0}, {1}, {0, 2}, {1, 2}} {
-		tall, _ := planTime(context.Background(), macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}, nil, nil, nil)
-		flat, _ := planTime(context.Background(), macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}, nil, nil, nil)
+		tall, _ := planTime(macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}, nil)
+		flat, _ := planTime(macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}, nil)
 		if tall == flat {
 			t.Errorf("dims %v: mesh64x2 and mesh2x64 macro broadcasts cost identically (%.1f µs)", dims, tall)
 		}
@@ -126,8 +117,8 @@ func TestMeshMacroTopologyAware(t *testing.T) {
 	// winning schedule and the costs coincide exactly. That symmetry is
 	// the correct physics (the machines are transposes); pin it so a
 	// regression in either phase order shows up.
-	tall, _ := planTime(context.Background(), macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}, nil, nil, nil)
-	flat, _ := planTime(context.Background(), macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}, nil, nil, nil)
+	tall, _ := planTime(macroScenario(64, 2, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}, nil)
+	flat, _ := planTime(macroScenario(2, 64, ""), compiled.PlanShape{Class: core.MacroComm, MacroDims: []int{0, 1}}, nil)
 	if tall != flat {
 		t.Errorf("dims [0 1]: transposed meshes with both phase orders should price identically (%.1f vs %.1f µs)", tall, flat)
 	}
@@ -147,9 +138,9 @@ func TestMeshMacroPerPlaneBound(t *testing.T) {
 					sc.N = n
 					pi := compiled.PlanShape{Class: core.MacroComm, MacroReduction: reduction}
 					pi.MacroDims = dims
-					plane, _ := planTime(context.Background(), sc, pi, nil, nil, nil)
+					plane, _ := planTime(sc, pi, nil)
 					pi.MacroDims = nil
-					total, _ := planTime(context.Background(), sc, pi, nil, nil, nil)
+					total, _ := planTime(sc, pi, nil)
 					if plane > total {
 						t.Errorf("mesh%dx%d dims=%v red=%v n=%d: per-plane %.2f > total %.2f",
 							pq[0], pq[1], dims, reduction, n, plane, total)
@@ -160,28 +151,31 @@ func TestMeshMacroPerPlaneBound(t *testing.T) {
 	}
 }
 
-// TestMacroChoiceMemoDeterminism: memoized selection is byte-identical
-// to cold selection for every scheduling mode, and repeated lookups
-// hit the memo.
+// TestMacroChoiceMemoDeterminism: selection priced from the
+// pricer's memoized templates is byte-identical to cold selection (a
+// nil pricer, the -no-cache path) for every scheduling mode, for
+// broadcasts and reductions, and a repeated evaluation of a warm
+// template returns the same choice.
 func TestMacroChoiceMemoDeterminism(t *testing.T) {
-	cache := NewCache(0)
+	pr := compiled.NewPricer()
 	for _, pq := range meshSpecs {
 		for _, dims := range macroDimCases {
-			sc := macroScenario(pq[0], pq[1], "")
-			pi := compiled.PlanShape{Class: core.MacroComm, MacroDims: dims}
-			coldCost, coldCh := planTime(context.Background(), sc, pi, nil, nil, nil)
-			for i := 0; i < 3; i++ {
-				warmCost, warmCh := planTime(context.Background(), sc, pi, cache, nil, nil)
-				if warmCost != coldCost || len(warmCh) != 1 || warmCh[0] != coldCh[0] {
-					t.Fatalf("mesh%dx%d dims=%v: memoized selection %v (%.2f) ≠ cold %v (%.2f)",
-						pq[0], pq[1], dims, warmCh, warmCost, coldCh, coldCost)
+			for _, reduction := range []bool{false, true} {
+				sc := macroScenario(pq[0], pq[1], "")
+				pi := compiled.PlanShape{Class: core.MacroComm, MacroReduction: reduction, MacroDims: dims}
+				coldCost, coldCh := planTime(sc, pi, nil)
+				for i := 0; i < 2; i++ {
+					cost, ch := planTime(sc, pi, pr)
+					if cost != coldCost || ch != coldCh {
+						t.Fatalf("mesh%dx%d dims=%v red=%v: pricer selection %s (%.2f) ≠ cold %s (%.2f)",
+							pq[0], pq[1], dims, reduction, ch, cost, coldCh, coldCost)
+					}
 				}
 			}
 		}
 	}
-	st := cache.Stats()
-	if st.SelectMisses == 0 || st.SelectHits < 2*st.SelectMisses {
-		t.Errorf("memo counters off: %d hits, %d misses", st.SelectHits, st.SelectMisses)
+	if st := pr.Stats(); st.TemplateHits == 0 || st.Templates == 0 {
+		t.Errorf("pricer served no template hits: %+v", st)
 	}
 }
 

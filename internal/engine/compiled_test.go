@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
-	"repro/internal/collective"
 	"repro/internal/scenarios"
 )
 
@@ -39,43 +37,6 @@ func TestCompiledEvalThroughSessionMatchesRun(t *testing.T) {
 	}
 	if cs := s.CacheStats(); cs.CompiledEvals == 0 || cs.CompiledTemplates == 0 {
 		t.Fatalf("pricer counters did not move: %+v", cs)
-	}
-}
-
-// TestSelKeyDistinct is the selection-memo key property test: any
-// difference in machine spec (kind, extents, pinned algorithm),
-// pattern, macro dims or payload must produce a distinct key — a
-// collision would serve one selection for another.
-func TestSelKeyDistinct(t *testing.T) {
-	specs := []scenarios.MachineSpec{
-		{Kind: scenarios.Mesh, P: 8, Q: 8},
-		{Kind: scenarios.Mesh, P: 8, Q: 4},
-		{Kind: scenarios.Mesh, P: 4, Q: 8},
-		{Kind: scenarios.Mesh, P: 8, Q: 8, Algo: "flat"},
-		{Kind: scenarios.FatTree, P: 64},
-		{Kind: scenarios.FatTree, P: 64, Algo: "binomial-sw"},
-	}
-	type in struct {
-		spec  scenarios.MachineSpec
-		p     collective.Pattern
-		dims  string
-		bytes int64
-	}
-	dimsCases := [][]int{nil, {0}, {1}, {0, 1}, {0, 2}}
-	seen := map[string]in{}
-	for _, spec := range specs {
-		for _, p := range []collective.Pattern{collective.Broadcast, collective.Reduction, collective.Shift} {
-			for di, dims := range dimsCases {
-				for _, bytes := range []int64{1, 64, 1024, 1 << 20} {
-					k := selKey(spec, p, dims, bytes)
-					c := in{spec, p, fmt.Sprint(dimsCases[di]), bytes}
-					if prev, dup := seen[k]; dup {
-						t.Fatalf("selKey collision %q:\n  %+v\n  %+v", k, prev, c)
-					}
-					seen[k] = c
-				}
-			}
-		}
 	}
 }
 

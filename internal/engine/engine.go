@@ -138,9 +138,9 @@ type Session struct {
 	tasks   chan task
 	wg      sync.WaitGroup
 
-	// pricer serves mesh collective selections from compiled templates
-	// (the compiled tier between the selection memo and cold schedule
-	// construction); nil when the cache is disabled.
+	// pricer serves mesh collective selections and pattern costs from
+	// compiled templates; nil when the cache is disabled, and every
+	// selection then builds its candidate schedules cold.
 	pricer *compiled.Pricer
 
 	// Pool instrumentation (see PoolStats). busy and queued are
@@ -151,8 +151,7 @@ type Session struct {
 	// Cumulative per-phase wall-clock attribution (see PhaseTotals).
 	phaseScenarios                              atomic.Uint64
 	phaseComputeNs, phaseAlignNs, phaseKernelNs atomic.Int64
-	phaseSelectNs, phaseStoreNs                 atomic.Int64
-	phaseCostNs, phaseTotalNs                   atomic.Int64
+	phaseStoreNs, phaseCostNs, phaseTotalNs     atomic.Int64
 }
 
 type task struct {
@@ -389,8 +388,8 @@ func Run(batch []scenarios.Scenario, opts Options) *BatchResult {
 
 // runOne optimizes and costs one scenario, recording the phase
 // breakdown (Result.Phases, session totals) and — when ctx carries an
-// active trace — a "scenario" span with store/optimize/selection
-// children.
+// active trace — a "scenario" span with store/optimize children and
+// the chosen collectives as its "collectives" attribute.
 func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 	t0 := time.Now()
 	ctx, sp := trace.StartSpan(ctx, "scenario")
@@ -423,17 +422,13 @@ func (s *Session) runOne(ctx context.Context, sc *scenarios.Scenario) Result {
 		return out
 	}
 	costStart := time.Now()
-	acc := &selAcc{}
-	sel := selector(ctx, s.cache, acc, sc.Machine)
-	pt := compiled.EvalPlans(ent.plans, s.pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes, sel)
+	pt := compiled.EvalPlans(ent.plans, s.pricer, sc.Machine, sc.Dist, sc.N, sc.ElemBytes)
 	out.Classes, out.ModelTime, out.Vectorizable, out.Collectives = pt.Classes, pt.ModelTime, pt.Vectorizable, pt.Collectives
-	ph.SelectUs = float64(acc.ns) / 1e3
-	ph.SelectHits, ph.SelectMisses = acc.hits, acc.misses
 	ph.CostUs = usSince(costStart)
 	ph.TotalUs = usSince(t0)
 	s.addPhases(ph)
-	if memo := ph.SelectMemo(); memo != "" {
-		sp.Set("select_memo", memo)
+	if pt.Collectives != "" {
+		sp.Set("collectives", pt.Collectives)
 	}
 	sp.End()
 	return out
@@ -546,10 +541,9 @@ func (b *BatchResult) Report() string {
 	}
 	if b.Cache != (CacheStats{}) {
 		c := b.Cache
-		fmt.Fprintf(&s, "cache: plan %d/%d hits, kernel %d/%d hits, select %d/%d hits, %d entries",
+		fmt.Fprintf(&s, "cache: plan %d/%d hits, kernel %d/%d hits, %d entries",
 			c.PlanHits, c.PlanHits+c.PlanMisses,
-			c.KernelHits, c.KernelHits+c.KernelMisses,
-			c.SelectHits, c.SelectHits+c.SelectMisses, c.Entries)
+			c.KernelHits, c.KernelHits+c.KernelMisses, c.Entries)
 		if c.Evictions > 0 {
 			fmt.Fprintf(&s, ", %d evicted", c.Evictions)
 		}

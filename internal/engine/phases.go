@@ -24,12 +24,6 @@ type PhaseTimes struct {
 	AlignUs   float64
 	KernelUs  float64
 	KernelOps int
-	// SelectUs, SelectHits and SelectMisses cover the collective
-	// selector (memoized per machine/pattern/dims/bytes): time spent
-	// this run, and the memo outcome split.
-	SelectUs     float64
-	SelectHits   int
-	SelectMisses int
 	// StoreUs is the time spent on disk-tier plan lookups and
 	// write-backs this run.
 	StoreUs float64
@@ -39,41 +33,7 @@ type PhaseTimes struct {
 	TotalUs float64
 }
 
-// SelectMemo summarizes the selection-memo outcome for this scenario:
-// "hit", "miss", "mixed", or "" when no selection ran.
-func (p *PhaseTimes) SelectMemo() string {
-	switch {
-	case p == nil || p.SelectHits+p.SelectMisses == 0:
-		return ""
-	case p.SelectMisses == 0:
-		return "hit"
-	case p.SelectHits == 0:
-		return "miss"
-	}
-	return "mixed"
-}
-
 func usSince(t0 time.Time) float64 { return float64(time.Since(t0)) / 1e3 }
-
-// selAcc accumulates collective-selection time and memo outcomes
-// across one scenario's plans. Methods tolerate the nil receiver, so
-// costing outside a scenario run needs no accumulator.
-type selAcc struct {
-	ns           int64
-	hits, misses int
-}
-
-func (a *selAcc) observe(d time.Duration, hit bool) {
-	if a == nil {
-		return
-	}
-	a.ns += int64(d)
-	if hit {
-		a.hits++
-	} else {
-		a.misses++
-	}
-}
 
 // PhaseTotals aggregates the session's per-phase wall-clock spend
 // over every scenario it has run — the /v1/stats and metrics view of
@@ -85,7 +45,6 @@ type PhaseTotals struct {
 	ComputeUs float64
 	AlignUs   float64
 	KernelUs  float64
-	SelectUs  float64
 	StoreUs   float64
 	CostUs    float64
 	TotalUs   float64
@@ -104,7 +63,6 @@ func (s *Session) addPhases(p *PhaseTimes) {
 		s.phaseAlignNs.Add(toNs(p.AlignUs))
 		s.phaseKernelNs.Add(toNs(p.KernelUs))
 	}
-	s.phaseSelectNs.Add(toNs(p.SelectUs))
 	s.phaseStoreNs.Add(toNs(p.StoreUs))
 	s.phaseCostNs.Add(toNs(p.CostUs))
 	s.phaseTotalNs.Add(toNs(p.TotalUs))
@@ -117,7 +75,6 @@ func (s *Session) PhaseTotals() PhaseTotals {
 		ComputeUs: float64(s.phaseComputeNs.Load()) / 1e3,
 		AlignUs:   float64(s.phaseAlignNs.Load()) / 1e3,
 		KernelUs:  float64(s.phaseKernelNs.Load()) / 1e3,
-		SelectUs:  float64(s.phaseSelectNs.Load()) / 1e3,
 		StoreUs:   float64(s.phaseStoreNs.Load()) / 1e3,
 		CostUs:    float64(s.phaseCostNs.Load()) / 1e3,
 		TotalUs:   float64(s.phaseTotalNs.Load()) / 1e3,

@@ -88,7 +88,7 @@ func FuzzPlanRecords(f *testing.F) {
 		}
 		for _, ms := range machines {
 			for _, p := range []*compiled.Pricer{pr, nil} {
-				compiled.EvalPlans(ent.plans, p, ms, blockBlock, 16, 64, nil)
+				compiled.EvalPlans(ent.plans, p, ms, blockBlock, 16, 64)
 			}
 		}
 	})

@@ -48,8 +48,6 @@ func (s *Server) statsResponse() api.StatsResponse {
 			PlanMisses:       c.PlanMisses,
 			DiskHits:         c.DiskHits,
 			DiskMisses:       c.DiskMisses,
-			SelectHits:       c.SelectHits,
-			SelectMisses:     c.SelectMisses,
 
 			CompiledTemplates:      c.CompiledTemplates,
 			CompiledTemplateHits:   c.CompiledTemplateHits,
@@ -68,7 +66,6 @@ func (s *Server) statsResponse() api.StatsResponse {
 		ComputeUs: pt.ComputeUs,
 		AlignUs:   pt.AlignUs,
 		KernelUs:  pt.KernelUs,
-		SelectUs:  pt.SelectUs,
 		StoreUs:   pt.StoreUs,
 		CostUs:    pt.CostUs,
 		TotalUs:   pt.TotalUs,
@@ -188,8 +185,6 @@ func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
 		ru.Cache.PlanMisses += st.Cache.PlanMisses
 		ru.Cache.DiskHits += st.Cache.DiskHits
 		ru.Cache.DiskMisses += st.Cache.DiskMisses
-		ru.Cache.SelectHits += st.Cache.SelectHits
-		ru.Cache.SelectMisses += st.Cache.SelectMisses
 		ru.Cache.CompiledTemplates += st.Cache.CompiledTemplates
 		ru.Cache.CompiledTemplateHits += st.Cache.CompiledTemplateHits
 		ru.Cache.CompiledTemplateMisses += st.Cache.CompiledTemplateMisses
@@ -209,7 +204,6 @@ func rollupStats(members []api.ClusterMemberStats) api.ClusterRollup {
 		ru.Phases.ComputeUs += st.Phases.ComputeUs
 		ru.Phases.AlignUs += st.Phases.AlignUs
 		ru.Phases.KernelUs += st.Phases.KernelUs
-		ru.Phases.SelectUs += st.Phases.SelectUs
 		ru.Phases.StoreUs += st.Phases.StoreUs
 		ru.Phases.CostUs += st.Phases.CostUs
 		ru.Phases.TotalUs += st.Phases.TotalUs

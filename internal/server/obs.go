@@ -79,7 +79,6 @@ func newObservability(s *Server) *observability {
 	phase.WithFunc(func() uint64 { return uint64(totals().ComputeUs) }, "compute")
 	phase.WithFunc(func() uint64 { return uint64(totals().AlignUs) }, "align")
 	phase.WithFunc(func() uint64 { return uint64(totals().KernelUs) }, "kernel")
-	phase.WithFunc(func() uint64 { return uint64(totals().SelectUs) }, "select")
 	phase.WithFunc(func() uint64 { return uint64(totals().StoreUs) }, "store")
 	phase.WithFunc(func() uint64 { return uint64(totals().CostUs) }, "cost")
 	phase.WithFunc(func() uint64 { return uint64(totals().TotalUs) }, "total")
@@ -110,8 +109,8 @@ func newObservability(s *Server) *observability {
 		func() uint64 { return pool().ScenarioErrors })
 
 	// Engine memo-cache tiers, mirrored from CacheStats: plan = whole
-	// heuristic results, kernel = exact linear algebra, select = the
-	// collective-selection memo, *_disk = the store tier behind each.
+	// heuristic results, kernel = exact linear algebra, *_disk = the
+	// store tier behind each, compiled_template = the session pricer.
 	hits := reg.NewCounterVec("resopt_engine_cache_hits_total",
 		"Memo-cache hits by tier.", "tier")
 	misses := reg.NewCounterVec("resopt_engine_cache_misses_total",
@@ -121,8 +120,6 @@ func newObservability(s *Server) *observability {
 	misses.WithFunc(func() uint64 { return cache().PlanMisses }, "plan")
 	hits.WithFunc(func() uint64 { return cache().KernelHits }, "kernel")
 	misses.WithFunc(func() uint64 { return cache().KernelMisses }, "kernel")
-	hits.WithFunc(func() uint64 { return cache().SelectHits }, "select")
-	misses.WithFunc(func() uint64 { return cache().SelectMisses }, "select")
 	hits.WithFunc(func() uint64 { return cache().DiskHits }, "plan_disk")
 	misses.WithFunc(func() uint64 { return cache().DiskMisses }, "plan_disk")
 	hits.WithFunc(func() uint64 { return cache().KernelDiskHits }, "kernel_disk")

@@ -82,8 +82,6 @@ func phaseBreakdown(ph *engine.PhaseTimes) *api.PhaseBreakdown {
 		AlignUs:    ph.AlignUs,
 		KernelUs:   ph.KernelUs,
 		KernelOps:  ph.KernelOps,
-		SelectUs:   ph.SelectUs,
-		SelectMemo: ph.SelectMemo(),
 		StoreUs:    ph.StoreUs,
 		CostUs:     ph.CostUs,
 		TotalUs:    ph.TotalUs,

@@ -44,10 +44,9 @@ func getTrace(t *testing.T, ops *httptest.Server, id string) (traceDetail, map[s
 
 // TestOptimizeTraced is the acceptance scenario over HTTP: a cold
 // /v1/optimize yields a retrievable trace whose scenario span has
-// alignment, kernel, collective-selection and store-lookup children
-// with non-zero durations, and the response carries the same phase
-// breakdown; the warm re-run is served from memory with the selection
-// memoized.
+// alignment, kernel and store-lookup children with non-zero durations
+// and names the chosen collectives, and the response carries the same
+// phase breakdown; the warm re-run is served from memory.
 func TestOptimizeTraced(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -81,7 +80,7 @@ func TestOptimizeTraced(t *testing.T) {
 	if td.TraceID != id || len(td.Spans) != 1 || td.Spans[0].Name != "http" {
 		t.Fatalf("trace %s: %d roots, first %q", id, len(td.Spans), td.Spans[0].Name)
 	}
-	for _, name := range []string{"scenario", "store.lookup", "optimize", "alignment", "kernel", "collective.select"} {
+	for _, name := range []string{"scenario", "store.lookup", "optimize", "alignment", "kernel"} {
 		ns := spans[name]
 		if len(ns) == 0 {
 			t.Fatalf("trace has no %q span; got %v", name, keys(spans))
@@ -98,8 +97,11 @@ func TestOptimizeTraced(t *testing.T) {
 	if got := spans["store.lookup"][0].Attrs["result"]; got != "miss" {
 		t.Errorf("cold store.lookup result %q", got)
 	}
+	if got := spans["scenario"][0].Attrs["collectives"]; got == "" || got != out.Collectives {
+		t.Errorf("cold scenario collectives %q, response %q", got, out.Collectives)
+	}
 
-	// Warm re-run: plan cache hit, memoized selection, no optimize span.
+	// Warm re-run: plan cache hit, no optimize span.
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/optimize", api.OptimizeRequest{Example: "example1", Machine: "fattree32"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm optimize status %d: %s", resp.StatusCode, body)
@@ -108,17 +110,15 @@ func TestOptimizeTraced(t *testing.T) {
 	if err := json.Unmarshal(body, &warm); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Phases == nil || warm.Phases.PlanSource != "memory" || warm.Phases.SelectMemo != "hit" {
+	if warm.Phases == nil || warm.Phases.PlanSource != "memory" {
 		t.Fatalf("warm phases %+v", warm.Phases)
 	}
 	_, spans = getTrace(t, ops, resp.Header.Get(TraceHeader))
 	if len(spans["optimize"]) != 0 {
 		t.Error("warm run re-ran the optimizer")
 	}
-	for _, n := range spans["collective.select"] {
-		if n.Attrs["memo"] != "hit" {
-			t.Errorf("warm selection span memo %q", n.Attrs["memo"])
-		}
+	if got := spans["scenario"][0].Attrs["collectives"]; got != out.Collectives {
+		t.Errorf("warm scenario collectives %q, want %q", got, out.Collectives)
 	}
 
 	// The listing shows both traces, newest first; min filters.

@@ -65,10 +65,11 @@ func warmServer(t testing.TB, pool [][]byte) *Server {
 
 // maxWarmOptimizeAllocs bounds the allocations of one warm
 // /v1/optimize call of handleOptimize, recorder and request included.
-// The costliest request below measures 53. Rendering the plan key
-// through fmt on every request, as the key was once built, put the
-// same requests at 112–235.
-const maxWarmOptimizeAllocs = 56
+// Every request below measures 33. Rendering the plan key through
+// fmt on every request, as the key was once built, put the same
+// requests at 112–235, and the engine's string-keyed selection memo,
+// since removed, at 52–53.
+const maxWarmOptimizeAllocs = 36
 
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool

@@ -67,7 +67,7 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 func (s *Snapshot) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"name", "local", "macro", "decomposed", "general", "vectorizable", "model_time_us", "collectives", "err",
-		"plan_source", "align_us", "kernel_us", "select_us", "store_us", "total_us"}); err != nil {
+		"plan_source", "align_us", "kernel_us", "store_us", "total_us"}); err != nil {
 		return err
 	}
 	us := func(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
@@ -80,12 +80,12 @@ func (s *Snapshot) WriteCSV(w io.Writer) error {
 			strconv.FormatFloat(r.ModelTime, 'f', -1, 64),
 			r.Collectives,
 			r.Err,
-			"", "", "", "", "", "",
+			"", "", "", "", "",
 		}
 		if ph := r.Phases; ph != nil {
 			row[9] = ph.PlanSource
 			row[10], row[11] = us(ph.AlignUs), us(ph.KernelUs)
-			row[12], row[13], row[14] = us(ph.SelectUs), us(ph.StoreUs), us(ph.TotalUs)
+			row[12], row[13] = us(ph.StoreUs), us(ph.TotalUs)
 		}
 		if err := cw.Write(row); err != nil {
 			return err
