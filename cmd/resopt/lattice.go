@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -78,16 +77,17 @@ func runLattice(cfg latticeConfig) {
 		fatal(fmt.Errorf("optimization failed: %s", art.Err))
 	}
 	rows := grid.Sweep(art, s.Pricer(), sc.Dist, sc.N)
-	out := bufio.NewWriter(os.Stdout)
-	enc := json.NewEncoder(out)
+	out := &rowWriter{w: bufio.NewWriter(os.Stdout)}
 	switches := 0
 	for _, row := range rows {
 		if row.Switched {
 			switches++
 		}
-		enc.Encode(latticeRowWire(row))
+		if err := out.write(latticeRowWire(row)); err != nil {
+			out.fail(err)
+		}
 	}
-	if err := out.Flush(); err != nil {
+	if err := out.w.Flush(); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "lattice: %s over %s: %d points on %d machines, %d switch points\n",
@@ -107,6 +107,28 @@ func latticeRowWire(row compiled.SweepRow) api.LatticeRow {
 		Switched:     row.Switched,
 		SwitchedFrom: row.SwitchedFrom,
 	}
+}
+
+// rowWriter writes lattice rows as NDJSON through one reused buffer,
+// byte for byte what the daemon sends.
+type rowWriter struct {
+	w   *bufio.Writer
+	buf []byte
+}
+
+func (o *rowWriter) write(row api.LatticeRow) error {
+	var err error
+	if o.buf, err = api.AppendLatticeRow(o.buf[:0], &row); err != nil {
+		return err
+	}
+	_, err = o.w.Write(o.buf)
+	return err
+}
+
+// fail flushes the rows written so far and exits.
+func (o *rowWriter) fail(err error) {
+	o.w.Flush()
+	fatal(err)
 }
 
 // remoteLattice streams a lattice sweep from a resoptd daemon: NDJSON
@@ -133,12 +155,7 @@ func remoteLattice(ctx context.Context, f *remoteFleet, cfg remoteConfig) {
 	default:
 		req.Example = "example1"
 	}
-	out := bufio.NewWriter(os.Stdout)
-	enc := json.NewEncoder(out)
-	fail := func(err error) {
-		out.Flush()
-		fatal(err)
-	}
+	out := &rowWriter{w: bufio.NewWriter(os.Stdout)}
 	var sum *api.LatticeSummary
 	streaming := false
 	// Shard by nest + grid: a repeat of the same sweep lands on the
@@ -147,17 +164,17 @@ func remoteLattice(ctx context.Context, f *remoteFleet, cfg remoteConfig) {
 		var err error
 		sum, err = c.Lattice(ctx, req, func(row api.LatticeRow) error {
 			streaming = true
-			return enc.Encode(row)
+			return out.write(row)
 		})
 		if err != nil && streaming {
-			fail(err)
+			out.fail(err)
 		}
 		return err
 	})
 	if err != nil {
-		fail(err)
+		out.fail(err)
 	}
-	if err := out.Flush(); err != nil {
+	if err := out.w.Flush(); err != nil {
 		fatal(err)
 	}
 	s := sum.Summary

@@ -332,6 +332,9 @@ func (c *Client) Lattice(ctx context.Context, req api.LatticeRequest, emit func(
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, maxStreamLine)
 	var sum *api.LatticeSummary
+	// One row is decoded into throughout: DecodeLatticeRow reuses the
+	// strings that repeat from row to row.
+	var row api.LatticeRow
 	for sc.Scan() {
 		line := sc.Bytes()
 		if bytes.Contains(line, []byte(`"summary"`)) {
@@ -342,8 +345,7 @@ func (c *Client) Lattice(ctx context.Context, req api.LatticeRequest, emit func(
 			sum = &s
 			continue
 		}
-		var row api.LatticeRow
-		if err := json.Unmarshal(line, &row); err != nil {
+		if err := api.DecodeLatticeRow(line, &row); err != nil {
 			return nil, fmt.Errorf("client: decoding lattice row: %w", err)
 		}
 		if emit != nil {

@@ -48,7 +48,7 @@ var meshAlgos = []meshAlgo{
 func (a meshAlgo) build(m *machine.Mesh2D, ls [][]int, bytes int64) []Round {
 	vs := a.shape(m, ls)
 	at := newEvaluator(m).compileAlgo(a.name, vs, Broadcast)
-	i := at.pick(m, bytes)
+	i, _ := at.pick(m, bytes)
 	if i < 0 {
 		return nil
 	}

@@ -323,10 +323,13 @@ type algoTemplate struct {
 // pick returns the index of the variant for the payload: the
 // cheapest applicable by broadcast cost (the orientation the chain has
 // always segmented on), earlier variants winning ties; -1 when none
-// applies. A single variant is taken without pricing.
-func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) int {
+// applies. A single variant is taken without pricing. main is the
+// winner's folded main cost when the sequence pick priced was main (a
+// broadcast, or a reduction of one compiled orientation), else -1:
+// the caller then folds main itself.
+func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) (best int, main float64) {
 	if len(a.variants) == 1 {
-		return 0
+		return 0, -1
 	}
 	best, bestCost := -1, -1.0
 	for i := range a.variants {
@@ -343,7 +346,10 @@ func (a *algoTemplate) pick(m *machine.Mesh2D, bytes int64) int {
 			best, bestCost = i, cost
 		}
 	}
-	return best
+	if best < 0 || a.variants[best].bcast != nil {
+		return best, -1
+	}
+	return best, bestCost
 }
 
 // compileAlgo compiles one algorithm's shape variants under the
@@ -431,12 +437,14 @@ func (t *lineTemplate) evalWinner(m *machine.Mesh2D, bytes int64) (Choice, *vari
 	bestA := -1
 	for ai := range t.algos {
 		a := &t.algos[ai]
-		vi := a.pick(m, bytes)
+		vi, cost := a.pick(m, bytes)
 		if vi < 0 {
 			continue
 		}
 		v := &a.variants[vi]
-		cost := foldRounds(v.main, m, bytes, 0)
+		if cost < 0 {
+			cost = foldRounds(v.main, m, bytes, 0)
+		}
 		if best.Cost < 0 || cost < best.Cost {
 			best = Choice{Pattern: t.pattern, Algorithm: a.name, Scope: t.scope, Cost: cost, Rounds: v.nrounds}
 			bestV, bestA = v, ai

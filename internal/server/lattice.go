@@ -17,10 +17,11 @@ import (
 // template evaluation against the shared session pricer — the sweep
 // never re-optimizes per point. The whole sweep runs first; its rows are
 // then written as NDJSON in grid order (machines as declared, payloads
-// ascending) through the response writer's buffer, with no per-row
-// flush. Switch points — payload thresholds where the selected
-// collective schedule changes — are flagged in place, and a summary
-// line terminates the stream. Writing stops at the first failed write
+// ascending), each row appended by api.AppendLatticeRow into one
+// reused buffer and written through the response writer's buffer,
+// with no per-row flush. Switch points — payload thresholds where the
+// selected collective schedule changes — are flagged in place, and a
+// summary line terminates the stream. Writing stops at the first failed write
 // (the client has gone).
 func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 	s.lattices.Add(1)
@@ -62,7 +63,7 @@ func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	var buf []byte
 	switches := 0
 	var spec scenarios.MachineSpec
 	machine := ""
@@ -74,7 +75,7 @@ func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 		if machine == "" || row.Machine != spec {
 			spec, machine = row.Machine, row.Machine.String()
 		}
-		if err := enc.Encode(api.LatticeRow{
+		buf, err = api.AppendLatticeRow(buf[:0], &api.LatticeRow{
 			Machine:      machine,
 			ElemBytes:    row.ElemBytes,
 			Classes:      row.Point.Classes,
@@ -83,11 +84,15 @@ func (s *Server) handleLattice(w http.ResponseWriter, r *http.Request) {
 			Collectives:  row.Point.Collectives,
 			Switched:     row.Switched,
 			SwitchedFrom: row.SwitchedFrom,
-		}); err != nil {
-			return // the client is gone
+		})
+		if err == nil {
+			_, err = w.Write(buf)
+		}
+		if err != nil {
+			return // a non-finite time, or the client is gone
 		}
 	}
-	enc.Encode(api.LatticeSummary{Summary: api.LatticeSummaryBody{
+	json.NewEncoder(w).Encode(api.LatticeSummary{Summary: api.LatticeSummaryBody{
 		Name:     sc.Name,
 		Grid:     req.Grid,
 		Points:   len(rows),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/affine"
 	"repro/internal/api"
+	"repro/internal/client"
 )
 
 // warmPool is the 2400-request warm /v1/optimize pool: every built-in
@@ -185,4 +187,77 @@ func stripPhasesJSON(t *testing.T, body []byte) string {
 	resp.Phases = nil
 	out, _ := json.Marshal(resp)
 	return string(out)
+}
+
+// maxWarmLatticeAllocs bounds the allocations of one warm /v1/lattice
+// call of handleLattice on CI's lattice grid (64 points), recorder and
+// request included. It measures 75; encoding each row through
+// json.Encoder, as the handler once did, put it at 133.
+const maxWarmLatticeAllocs = 82
+
+// TestLatticeAllocs gates the warm /v1/lattice path: with the artifact
+// compiled and every template built, a sweep allocates for the request
+// body, the sweep's rows, one row buffer and the summary line, and
+// nothing per row for encoding. Meaningless under -race.
+func TestLatticeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	srv := New(Options{Workers: 1})
+	defer srv.Close()
+	h := http.HandlerFunc(srv.handleLattice)
+	body, err := json.Marshal(api.LatticeRequest{Example: "matmul", Grid: "mesh{4..32}x8:bytes=1k..32M"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := serve(h, "/v1/lattice", body); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	allocs := testing.AllocsPerRun(50, func() { serve(h, "/v1/lattice", body) })
+	t.Logf("%.0f allocs", allocs)
+	if allocs > maxWarmLatticeAllocs {
+		t.Errorf("warm lattice allocates %.0f times, want ≤ %d", allocs, maxWarmLatticeAllocs)
+	}
+}
+
+// latticeBenchGrid is perfbench's lattice grid: 16 meshes × 11
+// payloads.
+const latticeBenchGrid = "mesh{4..32}x{2..16}:bytes=1k..1M"
+
+// BenchmarkServerLatticeWarm sweeps every built-in example over the
+// 176-point grid through client.Lattice to a loopback server, cycling
+// through the examples after one warming pass: the in-process
+// counterpart of perfbench's lattice workload, so the row encoding on
+// the server and the decoding in the client are both timed.
+func BenchmarkServerLatticeWarm(b *testing.B) {
+	srv := New(Options{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	b.Cleanup(func() { ts.Close(); srv.Close() })
+	c, err := client.New(ts.URL, ts.Client())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []api.LatticeRequest
+	for _, p := range affine.AllExamples() {
+		reqs = append(reqs, api.LatticeRequest{Example: p.Name, Grid: latticeBenchGrid})
+	}
+	rows := 0
+	count := func(api.LatticeRow) error { rows++; return nil }
+	ctx := context.Background()
+	for _, req := range reqs {
+		if _, err := c.Lattice(ctx, req, count); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := c.Lattice(ctx, reqs[i%len(reqs)], count); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+	if rows != 176*(len(reqs)+i) {
+		b.Fatalf("%d rows over %d sweeps", rows, len(reqs)+i)
+	}
 }
