@@ -24,6 +24,7 @@ import (
 	"math/big"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/accessgraph"
 	"repro/internal/affine"
@@ -161,7 +162,8 @@ func AlignWith(k *intmat.Kernels, p *affine.Program, m int, opts Options) (*Resu
 	}
 	var deficients []deficient
 	if !opts.NoAugmentation {
-		rng := rand.New(rand.NewSource(opts.Seed + 1))
+		rng := &stream{seed: opts.Seed + 1}
+		defer rng.release()
 		for i, e := range g.Edges {
 			if inBranching[i] || res.LocalComms[e.CommID] {
 				continue
@@ -232,7 +234,8 @@ func AlignWith(k *intmat.Kernels, p *affine.Program, m int, opts Options) (*Resu
 	}
 
 	// --- instantiate allocation matrices ---
-	rng := rand.New(rand.NewSource(opts.Seed + 2))
+	rng := &stream{seed: opts.Seed + 2}
+	defer rng.release()
 	byRoot := map[int][]int{}
 	for v := 0; v < n; v++ {
 		byRoot[st[v].root] = append(byRoot[st[v].root], v)
@@ -306,8 +309,14 @@ func gcd(a, b int64) int64 {
 
 // instantiateRoot chooses a full-rank integer root allocation matrix
 // honoring the deficient-rank constraints when possible and keeping
-// every derived allocation of full rank.
-func instantiateRoot(k *intmat.Kernels, g *accessgraph.Graph, st []vstate, r int, vs []int, m int, constraint *ratmat.Mat, rng *rand.Rand) (*intmat.Mat, error) {
+// every derived allocation of full rank. The candidates, in order, are
+// the first rows of the constraint's left kernel and 40 random
+// combinations of its rows (when it has enough), the canonical [Id | 0]
+// root, and 60 random matrices; the first whose ranks are right wins.
+// Each is drawn only when its turn comes, and after a win rng still
+// owes the draws of the candidates not tried, so the next root sees the
+// same stream whichever candidate won.
+func instantiateRoot(k *intmat.Kernels, g *accessgraph.Graph, st []vstate, r int, vs []int, m int, constraint *ratmat.Mat, rng *stream) (*intmat.Mat, error) {
 	dim := g.Vertices[r].Dim
 	rows := min(m, dim)
 
@@ -325,41 +334,60 @@ func instantiateRoot(k *intmat.Kernels, g *accessgraph.Graph, st []vstate, r int
 		return true
 	}
 
-	var candidates []*intmat.Mat
+	const (
+		kernelCombos, comboBound = 40, 2 // combinations of kernel rows, coefficients in [−2, 2]
+		randomRoots, rootBound   = 60, 3 // random roots, entries in [−3, 3]
+	)
+	var lk *intmat.Mat
 	if constraint != nil {
 		ci, _ := constraint.ScaledInt()
-		lk := k.LeftKernelBasis(ci)
-		if lk.Rows() >= rows {
-			base := lk.SubRows(seq(rows)...)
-			candidates = append(candidates, base)
-			// randomized combinations of kernel rows
-			for t := 0; t < 40; t++ {
-				comb := intmat.Mul(intmat.RandMat(rng, rows, lk.Rows(), 2), lk)
-				candidates = append(candidates, comb)
+		if lk = k.LeftKernelBasis(ci); lk.Rows() < rows {
+			lk = nil
+		}
+	}
+	var won *intmat.Mat
+	combos, randoms := 0, 0 // random candidates drawn
+	if lk != nil {
+		if base := lk.SubRows(seq(rows)...); ranksOK(base) {
+			won = base
+		}
+		// randomized combinations of kernel rows
+		for ; combos < kernelCombos && won == nil; combos++ {
+			if c := intmat.Mul(intmat.RandMat(rng, rows, lk.Rows(), comboBound), lk); ranksOK(c) {
+				won = c
 			}
 		}
 	}
 	// canonical [Id | 0] root, then random retries
-	canon := intmat.Zero(rows, dim)
-	for i := 0; i < rows; i++ {
-		canon.Set(i, i, 1)
-	}
-	candidates = append(candidates, canon)
-	for t := 0; t < 60; t++ {
-		candidates = append(candidates, intmat.RandMat(rng, rows, dim, 3))
-	}
-	for _, c := range candidates {
-		if ranksOK(c) {
-			return c, nil
+	if won == nil {
+		canon := intmat.Zero(rows, dim)
+		for i := 0; i < rows; i++ {
+			canon.Set(i, i, 1)
+		}
+		if ranksOK(canon) {
+			won = canon
 		}
 	}
-	return nil, fmt.Errorf("alignment: cannot find a full-rank allocation for component rooted at %s", g.Vertices[r].Name)
+	for ; randoms < randomRoots && won == nil; randoms++ {
+		if c := intmat.RandMat(rng, rows, dim, rootBound); ranksOK(c) {
+			won = c
+		}
+	}
+	// RandMat draws one Int63n(2·bound+1) per entry.
+	if lk != nil {
+		rng.skip(2*comboBound+1, (kernelCombos-combos)*rows*lk.Rows())
+	}
+	rng.skip(2*rootBound+1, (randomRoots-randoms)*rows*dim)
+	if won == nil {
+		return nil, fmt.Errorf("alignment: cannot find a full-rank allocation for component rooted at %s", g.Vertices[r].Name)
+	}
+	return won, nil
 }
 
 // solveMerge finds a full-rank-friendly X with X·pv = lhs, or nil.
 // pv is cleared of denominators first: with pv = N/λ the equation
 // X·N = λ·lhs is an instance of Lemma 2 over an integer F.
-func solveMerge(lhs, pv *ratmat.Mat, m int, rng *rand.Rand) *ratmat.Mat {
+func solveMerge(lhs, pv *ratmat.Mat, m int, rng *stream) *ratmat.Mat {
 	n, lam := pv.ScaledInt()
 	sPrime := ratmat.Scale(big.NewRat(lam, 1), lhs)
 	x0, proj, ok := ratmat.SolveXF(sPrime, n)
@@ -432,6 +460,55 @@ func (r *Result) LocalCount() int {
 		}
 	}
 	return n
+}
+
+// stream is the math/rand stream of one seed, seeded on its first draw
+// with a generator from a pool. skip owes draws: they are made just
+// before the next real draw, so a stream that is not drawn from again
+// never makes them.
+type stream struct {
+	seed int64
+	r    *rand.Rand
+	owed []owedDraws
+}
+
+// owedDraws is count draws of Int63n(n).
+type owedDraws struct {
+	n     int64
+	count int
+}
+
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// Int63n draws as rand.New(rand.NewSource(seed)).Int63n would at this
+// point of the stream.
+func (s *stream) Int63n(n int64) int64 {
+	if s.r == nil {
+		s.r = rngPool.Get().(*rand.Rand)
+		s.r.Seed(s.seed)
+	}
+	for _, o := range s.owed {
+		for i := 0; i < o.count; i++ {
+			s.r.Int63n(o.n)
+		}
+	}
+	s.owed = s.owed[:0]
+	return s.r.Int63n(n)
+}
+
+// skip owes count draws of Int63n(n).
+func (s *stream) skip(n int64, count int) {
+	if count > 0 {
+		s.owed = append(s.owed, owedDraws{n, count})
+	}
+}
+
+// release returns the generator to the pool.
+func (s *stream) release() {
+	if s.r != nil {
+		rngPool.Put(s.r)
+		s.r = nil
+	}
 }
 
 func min(a, b int) int {

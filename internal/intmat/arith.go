@@ -2,27 +2,90 @@ package intmat
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 )
 
-// checked int64 arithmetic: the alignment matrices handled by this
-// library are tiny, so overflow indicates a logic error upstream and
-// is reported by panicking rather than silently wrapping.
+// Checked int64 arithmetic. Every machine-word routine of this package
+// (and of package ratmat) goes through these helpers: each reports
+// ok=false instead of wrapping. The exported matrix arithmetic below
+// turns that into a panic, since an overflow there indicates a logic
+// error upstream; the eliminations re-run their math/big twin instead.
 
-func addChk(a, b int64) int64 {
+// Add64 returns a+b; ok is false when the sum leaves int64.
+func Add64(a, b int64) (int64, bool) {
 	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+	return s, (a^s)&(b^s) >= 0
+}
+
+// Sub64 returns a−b; ok is false when the difference leaves int64.
+func Sub64(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a^b)&(a^d) >= 0
+}
+
+// Mul64 returns a·b; ok is false when the product leaves int64. The
+// product is formed on the magnitudes with math/bits.
+func Mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(absU(a), absU(b))
+	if hi != 0 {
+		return 0, false
+	}
+	if (a < 0) != (b < 0) {
+		// -2^63 is the one negative product whose magnitude is not
+		// an int64; the wrapped negation below yields it exactly.
+		return -int64(lo), lo <= 1<<63
+	}
+	return int64(lo), lo <= math.MaxInt64
+}
+
+// mulAdd returns a + k·b; ok is false when a step leaves int64.
+func mulAdd(a, k, b int64) (int64, bool) {
+	p, ok1 := Mul64(k, b)
+	s, ok2 := Add64(a, p)
+	return s, ok1 && ok2
+}
+
+// mulSub returns (a·b − c·d)/q, truncated; ok is false when a step
+// leaves int64. It is the Bareiss update, where the division is exact.
+func mulSub(a, b, c, d, q int64) (int64, bool) {
+	x, ok1 := Mul64(a, b)
+	y, ok2 := Mul64(c, d)
+	z, ok3 := Sub64(x, y)
+	if !ok1 || !ok2 || !ok3 || (z == math.MinInt64 && q == -1) {
+		return 0, false
+	}
+	return z / q, true
+}
+
+// absU returns |a| as a uint64, exact also for math.MinInt64.
+func absU(a int64) uint64 {
+	if a < 0 {
+		return uint64(-a)
+	}
+	return uint64(a)
+}
+
+func mustAdd(a, b int64) int64 {
+	s, ok := Add64(a, b)
+	if !ok {
 		panic(fmt.Sprintf("intmat: int64 overflow in %d + %d", a, b))
 	}
 	return s
 }
 
-func mulChk(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
+func mustSub(a, b int64) int64 {
+	d, ok := Sub64(a, b)
+	if !ok {
+		panic(fmt.Sprintf("intmat: int64 overflow in %d - %d", a, b))
 	}
-	p := a * b
-	if p/b != a {
+	return d
+}
+
+func mustMul(a, b int64) int64 {
+	p, ok := Mul64(a, b)
+	if !ok {
 		panic(fmt.Sprintf("intmat: int64 overflow in %d * %d", a, b))
 	}
 	return p
@@ -35,7 +98,7 @@ func Add(m, n *Mat) *Mat {
 	}
 	r := Zero(m.rows, m.cols)
 	for i := range m.a {
-		r.a[i] = addChk(m.a[i], n.a[i])
+		r.a[i] = mustAdd(m.a[i], n.a[i])
 	}
 	return r
 }
@@ -47,7 +110,7 @@ func Sub(m, n *Mat) *Mat {
 	}
 	r := Zero(m.rows, m.cols)
 	for i := range m.a {
-		r.a[i] = addChk(m.a[i], -n.a[i])
+		r.a[i] = mustSub(m.a[i], n.a[i])
 	}
 	return r
 }
@@ -65,7 +128,7 @@ func Neg(m *Mat) *Mat {
 func Scale(k int64, m *Mat) *Mat {
 	r := Zero(m.rows, m.cols)
 	for i := range m.a {
-		r.a[i] = mulChk(k, m.a[i])
+		r.a[i] = mustMul(k, m.a[i])
 	}
 	return r
 }
@@ -77,12 +140,13 @@ func Mul(m, n *Mat) *Mat {
 	}
 	r := Zero(m.rows, n.cols)
 	for i := 0; i < m.rows; i++ {
+		mi := m.a[i*m.cols : (i+1)*m.cols]
 		for j := 0; j < n.cols; j++ {
 			var acc int64
-			for k := 0; k < m.cols; k++ {
-				acc = addChk(acc, mulChk(m.At(i, k), n.At(k, j)))
+			for k, x := range mi {
+				acc = mustAdd(acc, mustMul(x, n.a[k*n.cols+j]))
 			}
-			r.Set(i, j, acc)
+			r.a[i*r.cols+j] = acc
 		}
 	}
 	return r
@@ -109,16 +173,86 @@ func MulVec(m *Mat, v []int64) []int64 {
 	for i := 0; i < m.rows; i++ {
 		var acc int64
 		for k := 0; k < m.cols; k++ {
-			acc = addChk(acc, mulChk(m.At(i, k), v[k]))
+			acc = mustAdd(acc, mustMul(m.a[i*m.cols+k], v[k]))
 		}
 		out[i] = acc
 	}
 	return out
 }
 
+// wordScratch is the entry count up to which the word eliminations
+// keep their working copy on the stack.
+const wordScratch = 64
+
+// scratch returns buf[:n] when it is long enough, else a fresh slice;
+// either way the n entries are zero.
+func scratch(buf []int64, n int) []int64 {
+	if n > len(buf) {
+		return make([]int64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// bareiss runs fraction-free Gaussian elimination in place on the
+// rows×cols row-major matrix w, skipping columns without a pivot. It
+// returns the rank and whether an odd number of row swaps was made;
+// ok is false when an entry leaves int64. Every division is exact: an
+// entry after step k is a (k+1)-minor of the input.
+func bareiss(w []int64, rows, cols int) (rank int, odd, ok bool) {
+	prev := int64(1)
+	for col := 0; col < cols && rank < rows; col++ {
+		piv := -1
+		for r := rank; r < rows; r++ {
+			if w[r*cols+col] != 0 {
+				piv = r
+				break
+			}
+		}
+		if piv < 0 {
+			continue
+		}
+		pr := w[rank*cols : (rank+1)*cols]
+		if piv != rank {
+			odd = !odd
+			for c, x := range w[piv*cols : (piv+1)*cols] {
+				w[piv*cols+c], pr[c] = pr[c], x
+			}
+		}
+		p := pr[col]
+		for r := rank + 1; r < rows; r++ {
+			row := w[r*cols : (r+1)*cols]
+			f := row[col]
+			for c := col + 1; c < cols; c++ {
+				if row[c], ok = mulSub(p, row[c], f, pr[c], prev); !ok {
+					return 0, false, false
+				}
+			}
+			row[col] = 0
+		}
+		prev = p
+		rank++
+	}
+	return rank, odd, true
+}
+
 // Rank returns the rank of m, computed exactly by fraction-free
-// Gaussian elimination (Bareiss) over math/big.
+// Gaussian elimination (Bareiss) in int64, or in math/big when an
+// entry would overflow.
 func (m *Mat) Rank() int {
+	var buf [wordScratch]int64
+	w := scratch(buf[:], len(m.a))
+	copy(w, m.a)
+	if r, _, ok := bareiss(w, m.rows, m.cols); ok {
+		return r
+	}
+	return m.rankBig()
+}
+
+// rankBig is Rank over math/big: the overflow fallback and the test
+// oracle of the word elimination.
+func (m *Mat) rankBig() int {
 	if m.rows == 0 || m.cols == 0 {
 		return 0
 	}
@@ -166,8 +300,43 @@ func (m *Mat) FullRank() bool {
 	return m.Rank() == want
 }
 
+// detWord is the determinant of a square m by the word elimination;
+// ok is false when an entry, or the determinant, leaves int64.
+func (m *Mat) detWord() (int64, bool) {
+	if !m.IsSquare() {
+		panic("intmat: DetBig of non-square matrix")
+	}
+	n := m.rows
+	if n == 0 {
+		return 1, true
+	}
+	var buf [wordScratch]int64
+	w := scratch(buf[:], len(m.a))
+	copy(w, m.a)
+	rank, odd, ok := bareiss(w, n, n)
+	switch {
+	case !ok:
+		return 0, false
+	case rank < n:
+		return 0, true
+	case odd:
+		d := w[n*n-1]
+		return -d, d != math.MinInt64
+	}
+	return w[n*n-1], true
+}
+
 // DetBig returns the determinant of a square matrix as a big.Int.
 func (m *Mat) DetBig() *big.Int {
+	if d, ok := m.detWord(); ok {
+		return big.NewInt(d)
+	}
+	return m.detBig()
+}
+
+// detBig is DetBig over math/big: the overflow fallback and the test
+// oracle of the word elimination.
+func (m *Mat) detBig() *big.Int {
 	if !m.IsSquare() {
 		panic("intmat: DetBig of non-square matrix")
 	}
@@ -215,7 +384,10 @@ func (m *Mat) DetBig() *big.Int {
 
 // Det returns the determinant as int64, panicking on overflow.
 func (m *Mat) Det() int64 {
-	d := m.DetBig()
+	if d, ok := m.detWord(); ok {
+		return d
+	}
+	d := m.detBig()
 	if !d.IsInt64() {
 		panic("intmat: determinant overflows int64")
 	}
@@ -227,6 +399,8 @@ func (m *Mat) IsUnimodular() bool {
 	if !m.IsSquare() || m.rows == 0 {
 		return m.IsSquare() // 0x0 is vacuously unimodular
 	}
-	d := m.DetBig()
-	return d.CmpAbs(big.NewInt(1)) == 0
+	if d, ok := m.detWord(); ok {
+		return d == 1 || d == -1
+	}
+	return m.detBig().CmpAbs(big.NewInt(1)) == 0
 }

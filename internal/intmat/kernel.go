@@ -1,6 +1,9 @@
 package intmat
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
 // KernelBasis returns a matrix whose columns form a basis of the
 // integer kernel lattice {v ∈ Zⁿ : m·v = 0}. The result has n rows
@@ -13,7 +16,105 @@ func (k *Kernels) KernelBasis(m *Mat) *Mat {
 	return memo(k, "ker", m, kernelBasis)
 }
 
+// kernelBasis computes KernelBasis in int64, or in math/big when an
+// entry overflows.
 func kernelBasis(m *Mat) *Mat {
+	if ker, ok := kernelBasisWord(m); ok {
+		return ker
+	}
+	return kernelBasisBig(m)
+}
+
+// kernelBasisWord is kernelBasisBig in int64, step for step: the same
+// pivot choice and truncated quotients. ok is false when an entry
+// leaves int64.
+func kernelBasisWord(m *Mat) (*Mat, bool) {
+	rows, cols := m.rows, m.cols
+	var wbuf, vbuf [wordScratch]int64
+	w := scratch(wbuf[:], len(m.a))
+	copy(w, m.a)
+	v := scratch(vbuf[:], cols*cols)
+	for i := 0; i < cols; i++ {
+		v[i*cols+i] = 1
+	}
+	swapCol := func(i, j int) {
+		if i == j {
+			return
+		}
+		for r := 0; r < rows; r++ {
+			w[r*cols+i], w[r*cols+j] = w[r*cols+j], w[r*cols+i]
+		}
+		for r := 0; r < cols; r++ {
+			v[r*cols+i], v[r*cols+j] = v[r*cols+j], v[r*cols+i]
+		}
+	}
+	// col j += k·col i
+	addCol := func(j, i int, k int64) bool {
+		var ok bool
+		for r := 0; r < rows; r++ {
+			if w[r*cols+j], ok = mulAdd(w[r*cols+j], k, w[r*cols+i]); !ok {
+				return false
+			}
+		}
+		for r := 0; r < cols; r++ {
+			if v[r*cols+j], ok = mulAdd(v[r*cols+j], k, v[r*cols+i]); !ok {
+				return false
+			}
+		}
+		return true
+	}
+
+	lead := 0
+	for row := 0; row < rows && lead < cols; row++ {
+		wr := w[row*cols : (row+1)*cols]
+		for {
+			best := -1
+			for c := lead; c < cols; c++ {
+				if wr[c] != 0 && (best < 0 || absU(wr[c]) < absU(wr[best])) {
+					best = c
+				}
+			}
+			if best < 0 {
+				break
+			}
+			swapCol(lead, best)
+			p := wr[lead]
+			done := true
+			for c := lead + 1; c < cols; c++ {
+				x := wr[c]
+				if x == 0 {
+					continue
+				}
+				// |p| ≤ |x|: only MinInt64/±1 overflows here.
+				if x == math.MinInt64 && (p == 1 || p == -1) {
+					return nil, false
+				}
+				if !addCol(c, lead, -(x / p)) {
+					return nil, false
+				}
+				if wr[c] != 0 {
+					done = false
+				}
+			}
+			if done {
+				break
+			}
+		}
+		if lead < cols && wr[lead] != 0 {
+			lead++
+		}
+	}
+	// columns lead..cols-1 of V span the kernel
+	ker := Zero(cols, cols-lead)
+	for i := 0; i < cols; i++ {
+		copy(ker.a[i*ker.cols:(i+1)*ker.cols], v[i*cols+lead:(i+1)*cols])
+	}
+	return ker, true
+}
+
+// kernelBasisBig is kernelBasis over math/big: the overflow fallback
+// and the test oracle of kernelBasisWord.
+func kernelBasisBig(m *Mat) *Mat {
 	rows, cols := m.rows, m.cols
 	W := m.toBig()
 	V := bigIdentity(cols)

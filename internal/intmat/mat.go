@@ -3,12 +3,14 @@
 // rank, determinant, Hermite normal forms, integer kernels,
 // unimodular inverses and one-sided integer inverses.
 //
-// Entries are stored as int64. All elimination algorithms run in
-// math/big internally, so intermediate coefficient growth cannot
-// corrupt results; converting a result back to int64 panics if an
-// entry does not fit, which for the small alignment matrices of this
-// library (dimensions ≤ 8, entries ≤ a few thousand) never happens in
-// practice.
+// Entries are stored as int64, and every elimination runs in machine
+// words with checked arithmetic (Add64, Sub64, Mul64). When an
+// intermediate entry would leave int64, the same call re-runs the
+// elimination in math/big, so coefficient growth cannot corrupt a
+// result. Only a result that itself does not fit int64 panics. The
+// alignment matrices of this library (dimensions ≤ 8, small entries)
+// stay in words; the math/big routines are the overflow fallback and
+// the oracle the word routines are tested against.
 package intmat
 
 import (
@@ -270,14 +272,9 @@ func (m *Mat) toBig() [][]*big.Int {
 	return b
 }
 
-// fromBig converts a big.Int matrix back to a Mat, panicking if an
-// entry overflows int64.
-func fromBig(b [][]*big.Int) *Mat {
-	rows := len(b)
-	cols := 0
-	if rows > 0 {
-		cols = len(b[0])
-	}
+// fromBig converts a rows×cols big.Int matrix back to a Mat, panicking
+// if an entry overflows int64.
+func fromBig(b [][]*big.Int, rows, cols int) *Mat {
 	m := Zero(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {

@@ -27,15 +27,18 @@ func RandUnimodular(rng *rand.Rand, n, ops int) *Mat {
 		}
 		coef := int64(rng.Intn(7) - 3)
 		for c := 0; c < n; c++ {
-			m.Set(i, c, addChk(m.At(i, c), mulChk(coef, m.At(j, c))))
+			m.Set(i, c, mustAdd(m.At(i, c), mustMul(coef, m.At(j, c))))
 		}
 	}
 	return m
 }
 
+// Int63ner is the one method RandMat draws with; *rand.Rand has it.
+type Int63ner interface{ Int63n(n int64) int64 }
+
 // RandMat returns a random rows×cols matrix with entries uniform in
-// [-bound, bound]. Intended for tests.
-func RandMat(rng *rand.Rand, rows, cols int, bound int64) *Mat {
+// [-bound, bound], drawn row-major with one Int63n(2·bound+1) each.
+func RandMat(rng Int63ner, rows, cols int, bound int64) *Mat {
 	m := Zero(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {

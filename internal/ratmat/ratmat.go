@@ -1,12 +1,24 @@
-// Package ratmat implements exact dense rational matrices on top of
-// math/big.Rat. It complements intmat with the operations the paper
-// needs over Q: inverses, one-sided pseudo-inverses (appendix §9.2)
-// and the general solution of the matrix equation X·F = S (Lemma 2).
+// Package ratmat implements exact dense rational matrices. It
+// complements intmat with the operations the paper needs over Q:
+// inverses, one-sided pseudo-inverses (appendix §9.2) and the general
+// solution of the matrix equation X·F = S (Lemma 2).
+//
+// A matrix is stored as int64 numerators over one positive common
+// denominator, normalized so that the numerators and the denominator
+// share no factor; the denominator is then the lcm of the entries'
+// reduced denominators, and the representation is unique. Every
+// operation runs on these words with checked arithmetic. An operation
+// that would overflow, or that has an operand whose value does not fit
+// the word form, runs on math/big.Rat instead (the *Rats functions,
+// which are also the test oracle of the word routines); its result is
+// stored in words again whenever it fits.
 package ratmat
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"slices"
 	"strings"
 
 	"repro/internal/intmat"
@@ -15,7 +27,52 @@ import (
 // Mat is a dense rows×cols rational matrix.
 type Mat struct {
 	rows, cols int
-	a          []*big.Rat // row-major
+	// Word form (den > 0): entry (i, j) is num[i*cols+j]/den, with
+	// gcd(num..., den) = 1.
+	num []int64
+	den int64
+	// Big form (den == 0): the entries, row-major, for a value whose
+	// common denominator or scaled numerators leave int64.
+	rats []*big.Rat
+}
+
+// word returns the word-form matrix num/den (den > 0), normalized.
+func word(rows, cols int, num []int64, den int64) *Mat {
+	g := den
+	for _, v := range num {
+		if g == 1 {
+			break
+		}
+		g = gcd(g, v)
+	}
+	if g > 1 {
+		for i := range num {
+			num[i] /= g
+		}
+		den /= g
+	}
+	return &Mat{rows: rows, cols: cols, num: num, den: den}
+}
+
+// fromRats returns the matrix of the given entries, in word form when
+// it fits.
+func fromRats(rows, cols int, rats []*big.Rat) *Mat {
+	if n, l, overflow := scaledRats(rats); overflow == "" {
+		return &Mat{rows: rows, cols: cols, num: n, den: l}
+	}
+	return &Mat{rows: rows, cols: cols, rats: rats}
+}
+
+// gcd returns gcd(d, |a|) for d > 0.
+func gcd(d, a int64) int64 {
+	u, v := uint64(d), uint64(a)
+	if a < 0 {
+		v = -v
+	}
+	for v != 0 {
+		u, v = v, u%v
+	}
+	return int64(u)
 }
 
 // Zero returns the rows×cols zero matrix.
@@ -23,18 +80,14 @@ func Zero(rows, cols int) *Mat {
 	if rows < 0 || cols < 0 {
 		panic("ratmat: negative dimension")
 	}
-	m := &Mat{rows: rows, cols: cols, a: make([]*big.Rat, rows*cols)}
-	for i := range m.a {
-		m.a[i] = new(big.Rat)
-	}
-	return m
+	return &Mat{rows: rows, cols: cols, num: make([]int64, rows*cols), den: 1}
 }
 
 // Identity returns the n×n identity.
 func Identity(n int) *Mat {
 	m := Zero(n, n)
 	for i := 0; i < n; i++ {
-		m.a[i*n+i].SetInt64(1)
+		m.num[i*n+i] = 1
 	}
 	return m
 }
@@ -42,9 +95,9 @@ func Identity(n int) *Mat {
 // FromInt converts an integer matrix to a rational one.
 func FromInt(im *intmat.Mat) *Mat {
 	m := Zero(im.Rows(), im.Cols())
-	for i := 0; i < im.Rows(); i++ {
-		for j := 0; j < im.Cols(); j++ {
-			m.Set(i, j, new(big.Rat).SetInt64(im.At(i, j)))
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			m.num[i*m.cols+j] = im.At(i, j)
 		}
 	}
 	return m
@@ -61,17 +114,39 @@ func (m *Mat) Rows() int { return m.rows }
 // Cols returns the column count.
 func (m *Mat) Cols() int { return m.cols }
 
-// At returns the entry at (i, j). The returned value is shared; use
-// Set to modify entries.
+// isBig reports whether m is in big form.
+func (m *Mat) isBig() bool { return m.den == 0 }
+
+// At returns the entry at (i, j) as a new big.Rat; modifying it does
+// not modify m (use Set).
 func (m *Mat) At(i, j int) *big.Rat {
 	m.check(i, j)
-	return m.a[i*m.cols+j]
+	k := i*m.cols + j
+	if m.isBig() {
+		return new(big.Rat).Set(m.rats[k])
+	}
+	return big.NewRat(m.num[k], m.den)
 }
 
 // Set stores a copy of v at (i, j).
 func (m *Mat) Set(i, j int, v *big.Rat) {
 	m.check(i, j)
-	m.a[i*m.cols+j] = new(big.Rat).Set(v)
+	r := m.entries()
+	r[i*m.cols+j] = new(big.Rat).Set(v)
+	*m = *fromRats(m.rows, m.cols, r)
+}
+
+// entries returns the entries of m, row-major, as new big.Rat values.
+func (m *Mat) entries() []*big.Rat {
+	r := make([]*big.Rat, len(m.num)+len(m.rats))
+	for k := range r {
+		if m.isBig() {
+			r[k] = new(big.Rat).Set(m.rats[k])
+		} else {
+			r[k] = big.NewRat(m.num[k], m.den)
+		}
+	}
+	return r
 }
 
 func (m *Mat) check(i, j int) {
@@ -82,20 +157,24 @@ func (m *Mat) check(i, j int) {
 
 // Clone returns a deep copy.
 func (m *Mat) Clone() *Mat {
-	c := Zero(m.rows, m.cols)
-	for i := range m.a {
-		c.a[i].Set(m.a[i])
+	if m.isBig() {
+		return &Mat{rows: m.rows, cols: m.cols, rats: m.entries()}
 	}
-	return c
+	return &Mat{rows: m.rows, cols: m.cols, num: slices.Clone(m.num), den: m.den}
 }
 
-// Equal reports shape and entry equality.
+// Equal reports shape and entry equality. The word form is unique, and
+// a value that fits it is never stored in big form, so words compare
+// as slices.
 func (m *Mat) Equal(n *Mat) bool {
-	if m.rows != n.rows || m.cols != n.cols {
+	if m.rows != n.rows || m.cols != n.cols || m.isBig() != n.isBig() {
 		return false
 	}
-	for i := range m.a {
-		if m.a[i].Cmp(n.a[i]) != 0 {
+	if !m.isBig() {
+		return m.den == n.den && slices.Equal(m.num, n.num)
+	}
+	for i := range m.rats {
+		if m.rats[i].Cmp(n.rats[i]) != 0 {
 			return false
 		}
 	}
@@ -104,28 +183,22 @@ func (m *Mat) Equal(n *Mat) bool {
 
 // IsZero reports whether all entries are zero.
 func (m *Mat) IsZero() bool {
-	for _, v := range m.a {
-		if v.Sign() != 0 {
-			return false
-		}
-	}
-	return true
+	// A zero matrix always fits the word form.
+	return !m.isBig() && !slices.ContainsFunc(m.num, func(v int64) bool { return v != 0 })
 }
 
 // IsIdentity reports whether m is the identity.
 func (m *Mat) IsIdentity() bool {
-	if m.rows != m.cols {
+	if m.rows != m.cols || m.isBig() || m.den != 1 {
 		return false
 	}
-	one := big.NewRat(1, 1)
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			v := m.At(i, j)
+			want := int64(0)
 			if i == j {
-				if v.Cmp(one) != 0 {
-					return false
-				}
-			} else if v.Sign() != 0 {
+				want = 1
+			}
+			if m.num[i*m.cols+j] != want {
 				return false
 			}
 		}
@@ -135,67 +208,58 @@ func (m *Mat) IsIdentity() bool {
 
 // IsInteger reports whether every entry has denominator 1.
 func (m *Mat) IsInteger() bool {
-	for _, v := range m.a {
-		if !v.IsInt() {
-			return false
+	if m.isBig() {
+		for _, v := range m.rats {
+			if !v.IsInt() {
+				return false
+			}
 		}
+		return true
 	}
-	return true
+	return m.den == 1
 }
 
 // ToInt converts to an integer matrix; the second result is false if
 // some entry is not an integer or overflows int64.
 func (m *Mat) ToInt() (*intmat.Mat, bool) {
-	out := intmat.Zero(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			v := m.At(i, j)
-			if !v.IsInt() || !v.Num().IsInt64() {
-				return nil, false
-			}
-			out.Set(i, j, v.Num().Int64())
-		}
+	// A big-form matrix has an entry outside int64 or a denominator
+	// lcm outside int64; either way it is not an int64 matrix.
+	if m.isBig() || m.den != 1 {
+		return nil, false
 	}
-	return out, true
+	return intmat.New(m.rows, m.cols, m.num...), true
 }
 
 // ScaledInt clears denominators: it returns an integer matrix N and a
 // positive scalar λ such that m = N / λ, with λ the lcm of all entry
-// denominators.
+// denominators. That is the stored pair; it panics when m is in big
+// form, since then N or λ does not fit int64.
 func (m *Mat) ScaledInt() (*intmat.Mat, int64) {
-	l := big.NewInt(1)
-	g := new(big.Int)
-	for _, v := range m.a {
-		d := v.Denom()
-		g.GCD(nil, nil, l, d)
-		l.Div(l, g)
-		l.Mul(l, d)
-	}
-	out := intmat.Zero(m.rows, m.cols)
-	t := new(big.Int)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			v := m.At(i, j)
-			t.Div(l, v.Denom())
-			t.Mul(t, v.Num())
-			if !t.IsInt64() {
-				panic("ratmat: ScaledInt overflows int64")
-			}
-			out.Set(i, j, t.Int64())
+	if m.isBig() {
+		n, l, overflow := scaledRats(m.rats)
+		if overflow != "" {
+			panic(overflow)
 		}
+		return intmat.New(m.rows, m.cols, n...), l
 	}
-	if !l.IsInt64() {
-		panic("ratmat: ScaledInt denominator lcm overflows int64")
-	}
-	return out, l.Int64()
+	return intmat.New(m.rows, m.cols, m.num...), m.den
 }
 
 // Transpose returns the transpose.
 func (m *Mat) Transpose() *Mat {
-	t := Zero(m.cols, m.rows)
+	t := &Mat{rows: m.cols, cols: m.rows, den: m.den}
+	if m.isBig() {
+		t.rats = make([]*big.Rat, len(m.rats))
+	} else {
+		t.num = make([]int64, len(m.num))
+	}
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
+			if m.isBig() {
+				t.rats[j*t.cols+i] = m.rats[i*m.cols+j]
+			} else {
+				t.num[j*t.cols+i] = m.num[i*m.cols+j]
+			}
 		}
 	}
 	return t
@@ -225,11 +289,10 @@ func Add(m, n *Mat) *Mat {
 	if m.rows != n.rows || m.cols != n.cols {
 		panic("ratmat: Add shape mismatch")
 	}
-	r := Zero(m.rows, m.cols)
-	for i := range r.a {
-		r.a[i].Add(m.a[i], n.a[i])
+	if r, ok := addWord(m, n, false); ok {
+		return r
 	}
-	return r
+	return fromRats(m.rows, m.cols, addRats(m.entries(), n.entries(), false))
 }
 
 // Sub returns m − n.
@@ -237,11 +300,38 @@ func Sub(m, n *Mat) *Mat {
 	if m.rows != n.rows || m.cols != n.cols {
 		panic("ratmat: Sub shape mismatch")
 	}
-	r := Zero(m.rows, m.cols)
-	for i := range r.a {
-		r.a[i].Sub(m.a[i], n.a[i])
+	if r, ok := addWord(m, n, true); ok {
+		return r
 	}
-	return r
+	return fromRats(m.rows, m.cols, addRats(m.entries(), n.entries(), true))
+}
+
+// addWord is m + n, or m − n when sub is set, over the common
+// denominator lcm(den m, den n).
+func addWord(m, n *Mat, sub bool) (*Mat, bool) {
+	if m.isBig() || n.isBig() {
+		return nil, false
+	}
+	g := gcd(m.den, n.den)
+	l, ok := intmat.Mul64(m.den/g, n.den)
+	if !ok {
+		return nil, false
+	}
+	sm, sn := l/m.den, l/n.den
+	out := make([]int64, len(m.num))
+	for i := range out {
+		a, ok1 := intmat.Mul64(m.num[i], sm)
+		b, ok2 := intmat.Mul64(n.num[i], sn)
+		if sub {
+			out[i], ok = intmat.Sub64(a, b)
+		} else {
+			out[i], ok = intmat.Add64(a, b)
+		}
+		if !ok1 || !ok2 || !ok {
+			return nil, false
+		}
+	}
+	return word(m.rows, m.cols, out, l), true
 }
 
 // Mul returns m·n.
@@ -249,18 +339,37 @@ func Mul(m, n *Mat) *Mat {
 	if m.cols != n.rows {
 		panic(fmt.Sprintf("ratmat: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
-	r := Zero(m.rows, n.cols)
-	t := new(big.Rat)
+	if r, ok := mulWord(m, n); ok {
+		return r
+	}
+	return fromRats(m.rows, n.cols, mulRats(m.rows, m.cols, n.cols, m.entries(), n.entries()))
+}
+
+// mulWord is m·n as (num m · num n) / (den m · den n).
+func mulWord(m, n *Mat) (*Mat, bool) {
+	if m.isBig() || n.isBig() {
+		return nil, false
+	}
+	den, ok := intmat.Mul64(m.den, n.den)
+	if !ok {
+		return nil, false
+	}
+	out := make([]int64, m.rows*n.cols)
 	for i := 0; i < m.rows; i++ {
+		mi := m.num[i*m.cols : (i+1)*m.cols]
 		for j := 0; j < n.cols; j++ {
-			acc := r.a[i*r.cols+j]
-			for k := 0; k < m.cols; k++ {
-				t.Mul(m.At(i, k), n.At(k, j))
-				acc.Add(acc, t)
+			var acc int64
+			for k, x := range mi {
+				p, ok1 := intmat.Mul64(x, n.num[k*n.cols+j])
+				acc, ok = intmat.Add64(acc, p)
+				if !ok1 || !ok {
+					return nil, false
+				}
 			}
+			out[i*n.cols+j] = acc
 		}
 	}
-	return r
+	return word(m.rows, n.cols, out, den), true
 }
 
 // MulAll multiplies one or more matrices left to right.
@@ -277,49 +386,31 @@ func MulAll(ms ...*Mat) *Mat {
 
 // Scale returns k·m.
 func Scale(k *big.Rat, m *Mat) *Mat {
-	r := Zero(m.rows, m.cols)
-	for i := range r.a {
-		r.a[i].Mul(k, m.a[i])
+	if !m.isBig() && k.Num().IsInt64() && k.Denom().IsInt64() {
+		kn, kd := k.Num().Int64(), k.Denom().Int64()
+		den, ok := intmat.Mul64(m.den, kd)
+		out := make([]int64, len(m.num))
+		for i := 0; i < len(out) && ok; i++ {
+			out[i], ok = intmat.Mul64(kn, m.num[i])
+		}
+		if ok {
+			return word(m.rows, m.cols, out, den)
+		}
 	}
-	return r
+	r := m.entries()
+	for _, v := range r {
+		v.Mul(k, v)
+	}
+	return fromRats(m.rows, m.cols, r)
 }
 
-// Rank returns the rank of m (exact Gaussian elimination over Q).
+// Rank returns the rank of m: the rank of its numerators in word form,
+// exact Gaussian elimination over Q in big form.
 func (m *Mat) Rank() int {
-	w := m.Clone()
-	rank := 0
-	for col := 0; col < w.cols && rank < w.rows; col++ {
-		piv := -1
-		for r := rank; r < w.rows; r++ {
-			if w.At(r, col).Sign() != 0 {
-				piv = r
-				break
-			}
-		}
-		if piv < 0 {
-			continue
-		}
-		// swap rows rank, piv
-		for c := 0; c < w.cols; c++ {
-			a, b := w.At(rank, c), w.At(piv, c)
-			w.a[rank*w.cols+c] = b
-			w.a[piv*w.cols+c] = a
-		}
-		p := w.At(rank, col)
-		t := new(big.Rat)
-		for r := rank + 1; r < w.rows; r++ {
-			f := new(big.Rat).Quo(w.At(r, col), p)
-			if f.Sign() == 0 {
-				continue
-			}
-			for c := col; c < w.cols; c++ {
-				t.Mul(f, w.At(rank, c))
-				w.a[r*w.cols+c].Sub(w.At(r, c), t)
-			}
-		}
-		rank++
+	if m.isBig() {
+		return rankRats(m.rows, m.cols, m.entries())
 	}
-	return rank
+	return intmat.New(m.rows, m.cols, m.num...).Rank()
 }
 
 // FullRank reports rank(m) == min(rows, cols).
@@ -337,49 +428,93 @@ func (m *Mat) Inverse() (*Mat, bool) {
 	if m.rows != m.cols {
 		panic("ratmat: Inverse of non-square matrix")
 	}
-	n := m.rows
-	w := m.Clone()
-	inv := Identity(n)
-	for col := 0; col < n; col++ {
+	if inv, singular, ok := inverseWord(m); ok {
+		return inv, !singular
+	}
+	inv, ok := inverseRats(m.rows, m.entries())
+	if !ok {
+		return nil, false
+	}
+	return fromRats(m.rows, m.rows, inv), true
+}
+
+// inverseWord inverts m = N/λ by fraction-free Gauss–Jordan
+// elimination (Bareiss) on [N | I], which ends at [d·I | X] with
+// X = d·N⁻¹, so m⁻¹ = λ·X/d. ok is false when m is in big form or an
+// entry leaves int64.
+func inverseWord(m *Mat) (inv *Mat, singular, ok bool) {
+	if m.isBig() {
+		return nil, false, false
+	}
+	n, w2 := m.rows, 2*m.rows
+	var buf [128]int64
+	w := buf[:]
+	if n*w2 > len(buf) {
+		w = make([]int64, n*w2)
+	}
+	w = w[:n*w2]
+	for i := 0; i < n; i++ {
+		copy(w[i*w2:], m.num[i*n:(i+1)*n])
+		clear(w[i*w2+n : (i+1)*w2])
+		w[i*w2+n+i] = 1
+	}
+	prev := int64(1)
+	for k := 0; k < n; k++ {
 		piv := -1
-		for r := col; r < n; r++ {
-			if w.At(r, col).Sign() != 0 {
+		for r := k; r < n; r++ {
+			if w[r*w2+k] != 0 {
 				piv = r
 				break
 			}
 		}
 		if piv < 0 {
-			return nil, false
+			return nil, true, true
 		}
-		for c := 0; c < n; c++ {
-			a, b := w.At(col, c), w.At(piv, c)
-			w.a[col*n+c] = b
-			w.a[piv*n+c] = a
-			a, b = inv.At(col, c), inv.At(piv, c)
-			inv.a[col*n+c] = b
-			inv.a[piv*n+c] = a
+		pr := w[k*w2 : (k+1)*w2]
+		if piv != k {
+			for c, x := range w[piv*w2 : (piv+1)*w2] {
+				w[piv*w2+c], pr[c] = pr[c], x
+			}
 		}
-		p := new(big.Rat).Set(w.At(col, col))
-		for c := 0; c < n; c++ {
-			w.a[col*n+c].Quo(w.At(col, c), p)
-			inv.a[col*n+c].Quo(inv.At(col, c), p)
-		}
-		t := new(big.Rat)
+		p := pr[k]
 		for r := 0; r < n; r++ {
-			if r == col {
+			if r == k {
 				continue
 			}
-			f := new(big.Rat).Set(w.At(r, col))
-			if f.Sign() == 0 {
-				continue
+			row := w[r*w2 : (r+1)*w2]
+			f := row[k]
+			for c := range row {
+				if c == k {
+					continue
+				}
+				a, ok1 := intmat.Mul64(p, row[c])
+				b, ok2 := intmat.Mul64(f, pr[c])
+				d, ok3 := intmat.Sub64(a, b)
+				if !ok1 || !ok2 || !ok3 || d == math.MinInt64 && prev == -1 {
+					return nil, false, false
+				}
+				row[c] = d / prev
 			}
-			for c := 0; c < n; c++ {
-				t.Mul(f, w.At(col, c))
-				w.a[r*n+c].Sub(w.At(r, c), t)
-				t.Mul(f, inv.At(col, c))
-				inv.a[r*n+c].Sub(inv.At(r, c), t)
+			row[k] = 0
+		}
+		prev = p
+	}
+	// prev is the common diagonal d; m⁻¹ = λ·X/d with a positive
+	// denominator.
+	lam, den := m.den, prev
+	if den == math.MinInt64 {
+		return nil, false, false
+	}
+	if den < 0 {
+		lam, den = -lam, -den
+	}
+	out := make([]int64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if out[i*n+j], ok = intmat.Mul64(lam, w[i*w2+n+j]); !ok {
+				return nil, false, false
 			}
 		}
 	}
-	return inv, true
+	return word(n, n, out, den), false, true
 }

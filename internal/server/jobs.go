@@ -303,12 +303,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		slog.String("job_id", js.job.ID),
 		slog.Int("scenarios", len(rb.suite)),
 		slog.String("trace_id", js.job.TraceID))
+	// Snapshot before the launch: a short job can finish before the
+	// handler writes, and the 202 must say queued.
+	accepted := js.snapshot()
 	s.jobWG.Add(1)
 	go func() {
 		defer s.jobWG.Done()
 		s.runJob(ctx, js, rb, root)
 	}()
-	writeJSON(w, http.StatusAccepted, js.snapshot())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // runJob drives one async batch on the shared session, under the
