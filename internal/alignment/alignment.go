@@ -261,8 +261,7 @@ func AlignWith(k *intmat.Kernels, p *affine.Program, m int, opts Options) (*Resu
 		lam := int64(1)
 		for _, v := range vs {
 			mv := ratmat.Mul(ratmat.FromInt(mr), st[v].transfer)
-			_, l := mv.ScaledInt()
-			lam = lcm(lam, l)
+			lam = lcm(lam, mv.Den())
 		}
 		mrS := intmat.Scale(lam, mr)
 		for _, v := range vs {
@@ -326,8 +325,8 @@ func instantiateRoot(k *intmat.Kernels, g *accessgraph.Graph, st []vstate, r int
 		}
 		for _, v := range vs {
 			mv := ratmat.Mul(ratmat.FromInt(mr), st[v].transfer)
-			vi, _ := mv.ScaledInt()
-			if vi.Rank() != min(m, g.Vertices[v].Dim) {
+			mv.Den() // panics like ScaledInt once mv leaves int64
+			if mv.Rank() != min(m, g.Vertices[v].Dim) {
 				return false
 			}
 		}
@@ -432,9 +431,12 @@ func (r *Result) RotateComponent(vertex string, v *intmat.Mat) error {
 	if !ok {
 		return fmt.Errorf("alignment: unknown vertex %q", vertex)
 	}
-	for name, id := range r.Component {
-		if id == comp {
-			r.Alloc[name] = intmat.Mul(v, r.Alloc[name])
+	// In the access graph's vertex order, not map order: when a
+	// product overflows, the vertex that fails first names the operands
+	// of the panic, and that must be a function of the input.
+	for _, vx := range r.Graph.Vertices {
+		if id, ok := r.Component[vx.Name]; ok && id == comp {
+			r.Alloc[vx.Name] = intmat.Mul(v, r.Alloc[vx.Name])
 		}
 	}
 	return nil

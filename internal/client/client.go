@@ -156,7 +156,7 @@ func (c *Client) sendRaw(ctx context.Context, method, path string, data []byte, 
 		}
 		// Propagate the caller's trace (minting one if the context has no
 		// active span) so the server-side trace joins this process's.
-		req.Header.Set("traceparent", trace.OutgoingTraceparent(ctx))
+		req.Header.Set(trace.Header, trace.OutgoingTraceparent(ctx))
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			if attempt < c.retries && ctx.Err() == nil {

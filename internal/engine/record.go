@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/affine"
@@ -119,8 +118,7 @@ func optimizeCtx(ctx context.Context, sc *scenarios.Scenario, cache *Cache) plan
 	}
 	res, err := Optimize(ctx, k, sc.Program, sc.M, sc.Opts)
 	if k.Ops > 0 {
-		trace.AddSpan(ctx, "kernel", t0, k.Time,
-			map[string]string{"ops": strconv.Itoa(k.Ops)})
+		trace.AddSpan(ctx, "kernel", t0, k.Time, trace.Int("ops", int64(k.Ops)))
 	}
 	ent := planEntry{
 		computeUs: usSince(t0),

@@ -240,14 +240,18 @@ func bareiss(w []int64, rows, cols int) (rank int, odd, ok bool) {
 // Rank returns the rank of m, computed exactly by fraction-free
 // Gaussian elimination (Bareiss) in int64, or in math/big when an
 // entry would overflow.
-func (m *Mat) Rank() int {
+func (m *Mat) Rank() int { return RankOf(m.rows, m.cols, m.a) }
+
+// RankOf returns the rank of the rows×cols row-major matrix a, which it
+// leaves unchanged: Rank for callers that hold the entries but no Mat.
+func RankOf(rows, cols int, a []int64) int {
 	var buf [wordScratch]int64
-	w := scratch(buf[:], len(m.a))
-	copy(w, m.a)
-	if r, _, ok := bareiss(w, m.rows, m.cols); ok {
+	w := scratch(buf[:], len(a))
+	copy(w, a)
+	if r, _, ok := bareiss(w, rows, cols); ok {
 		return r
 	}
-	return m.rankBig()
+	return (&Mat{rows: rows, cols: cols, a: a}).rankBig()
 }
 
 // rankBig is Rank over math/big: the overflow fallback and the test

@@ -94,12 +94,13 @@ type histData struct {
 	exemplars []atomic.Pointer[Exemplar]
 }
 
-// Exemplar ties one observed value to the trace that produced it,
-// rendered on histogram bucket lines under the OpenMetrics format
-// (e.g. `... # {trace_id="4bf9…"} 0.032`).
+// Exemplar ties one observed value to the trace that produced it. It
+// keeps the trace ID in binary and is rendered on histogram bucket
+// lines only under the OpenMetrics format (e.g.
+// `... # {trace_id="4bf9…"} 0.032`).
 type Exemplar struct {
-	Labels map[string]string
-	Value  float64
+	TraceID [16]byte
+	Value   float64
 }
 
 // nameOK reports whether s is a legal metric or label name:
@@ -328,17 +329,16 @@ func (h Histogram) Observe(v float64) {
 }
 
 // ObserveWithExemplar records one value and attaches an exemplar
-// (typically {"trace_id": ...}) to the bucket it lands in, replacing
-// that bucket's previous exemplar. Empty labels degrade to a plain
-// Observe.
-func (h Histogram) ObserveWithExemplar(v float64, labels map[string]string) {
+// naming traceID to the bucket it lands in, replacing that bucket's
+// previous exemplar. The all-zero ID degrades to a plain Observe.
+func (h Histogram) ObserveWithExemplar(v float64, traceID [16]byte) {
 	h.Observe(v)
-	if len(labels) == 0 {
+	if traceID == [16]byte{} {
 		return
 	}
 	d := h.c.hist
 	idx := sort.SearchFloat64s(h.bounds, v)
-	d.exemplars[idx].Store(&Exemplar{Labels: labels, Value: v})
+	d.exemplars[idx].Store(&Exemplar{TraceID: traceID, Value: v})
 }
 
 // HistogramVec is a histogram family with labels.

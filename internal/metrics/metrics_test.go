@@ -254,14 +254,15 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 // TestExemplars: ObserveWithExemplar attaches the exemplar to the
-// bucket the value lands in, visible only under OpenMetrics; the
-// default text exposition is byte-identical to plain observations.
+// bucket the value lands in, visible only under OpenMetrics with the
+// trace ID in lowercase hex; the default text exposition is
+// byte-identical to plain observations.
 func TestExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("lat_seconds", "Latency.", []float64{0.1, 1})
-	h.ObserveWithExemplar(0.05, map[string]string{"trace_id": "abc123"})
-	h.ObserveWithExemplar(0.5, map[string]string{"trace_id": "def456"})
-	h.ObserveWithExemplar(5, nil) // no labels: plain observation
+	h.ObserveWithExemplar(0.05, [16]byte{0xab, 0xc1, 0x23, 15: 0x01})
+	h.ObserveWithExemplar(0.5, [16]byte{0xde, 0xf4, 0x56, 15: 0xff})
+	h.ObserveWithExemplar(5, [16]byte{}) // no trace: plain observation
 
 	text := scrape(t, r)
 	if strings.Contains(text, "abc123") {
@@ -274,8 +275,8 @@ func TestExemplars(t *testing.T) {
 	}
 	om := b.String()
 	for _, want := range []string{
-		`lat_seconds_bucket{le="0.1"} 1 # {trace_id="abc123"} 0.05`,
-		`lat_seconds_bucket{le="1"} 2 # {trace_id="def456"} 0.5`,
+		`lat_seconds_bucket{le="0.1"} 1 # {trace_id="abc12300000000000000000000000001"} 0.05` + "\n",
+		`lat_seconds_bucket{le="1"} 2 # {trace_id="def456000000000000000000000000ff"} 0.5` + "\n",
 		"lat_seconds_count 3\n",
 		"# EOF\n",
 	} {

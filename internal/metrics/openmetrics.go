@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -117,26 +118,13 @@ func (f *family) writeChildOpenMetrics(w io.Writer, c *child) error {
 	return err
 }
 
-// renderExemplar renders ` # {k="v",...} value`, or "" for nil.
+// renderExemplar renders ` # {trace_id="<32 hex>"} value`, or "" for
+// nil.
 func renderExemplar(e *Exemplar) string {
 	if e == nil {
 		return ""
 	}
-	keys := make([]string, 0, len(e.Labels))
-	for k := range e.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(" # {")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", k, escapeLabel(e.Labels[k]))
-	}
-	fmt.Fprintf(&b, "} %s", formatFloat(e.Value))
-	return b.String()
+	return ` # {trace_id="` + hex.EncodeToString(e.TraceID[:]) + `"} ` + formatFloat(e.Value)
 }
 
 // AcceptsOpenMetrics reports whether an Accept header asks for the

@@ -245,6 +245,16 @@ func (m *Mat) ScaledInt() (*intmat.Mat, int64) {
 	return intmat.New(m.rows, m.cols, m.num...), m.den
 }
 
+// Den returns the λ of ScaledInt without copying the numerators, and
+// panics as ScaledInt does when m is in big form.
+func (m *Mat) Den() int64 {
+	if m.isBig() {
+		_, l := m.ScaledInt()
+		return l
+	}
+	return m.den
+}
+
 // Transpose returns the transpose.
 func (m *Mat) Transpose() *Mat {
 	t := &Mat{rows: m.cols, cols: m.rows, den: m.den}
@@ -410,7 +420,7 @@ func (m *Mat) Rank() int {
 	if m.isBig() {
 		return rankRats(m.rows, m.cols, m.entries())
 	}
-	return intmat.New(m.rows, m.cols, m.num...).Rank()
+	return intmat.RankOf(m.rows, m.cols, m.num)
 }
 
 // FullRank reports rank(m) == min(rows, cols).

@@ -147,7 +147,8 @@ func TestClusterForwarding(t *testing.T) {
 
 	// The hop shows up as a child span in A's trace tree.
 	found := false
-	for _, td := range a.srv.tracer.List(0, 10) {
+	for _, ts := range a.srv.tracer.List(0, 10) {
+		td, _ := a.srv.tracer.Get(ts.TraceID)
 		for _, sp := range td.Spans {
 			if sp.Name == "cluster.forward" {
 				found = true

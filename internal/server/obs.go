@@ -300,18 +300,19 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		defer s.obs.inFlight.Dec()
 		cr := &countingReadCloser{rc: r.Body}
 		r.Body = cr
-		ow := &obsResponseWriter{ResponseWriter: w}
+		// Under traced, w is already the status- and byte-counting
+		// wrapper, and nothing has been written through it yet.
+		ow, ok := w.(*obsResponseWriter)
+		if !ok {
+			ow = &obsResponseWriter{ResponseWriter: w}
+		}
 		next.ServeHTTP(ow, r)
 		endpoint := endpointLabel(r)
 		s.obs.requests.With(endpoint, strconv.Itoa(ow.statusCode())).Inc()
 		// Exemplar: link the latency bucket to this request's trace, so
 		// a scraper ingesting OpenMetrics can jump from a histogram
 		// spike to /debug/traces/{id}.
-		var exemplar map[string]string
-		if sp := trace.FromContext(r.Context()); sp != nil {
-			exemplar = map[string]string{"trace_id": sp.TraceID().String()}
-		}
-		s.obs.latency.With(endpoint).ObserveWithExemplar(time.Since(start).Seconds(), exemplar)
+		s.obs.latency.With(endpoint).ObserveWithExemplar(time.Since(start).Seconds(), trace.FromContext(r.Context()).TraceID())
 		s.obs.bytesIn.With(endpoint).Add(uint64(cr.n))
 		s.obs.bytesOut.With(endpoint).Add(uint64(ow.bytes))
 	})

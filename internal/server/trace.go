@@ -27,7 +27,7 @@ const TraceHeader = "Trace-Id"
 func (s *Server) traced(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ctx, root := trace.StartRoot(r.Context(), s.tracer, "http", r.Header.Get("traceparent"))
+		ctx, root := trace.StartRoot(r.Context(), s.tracer, "http", r.Header.Get(trace.Header))
 		root.Set("method", r.Method)
 		traceID := root.TraceID().String()
 		w.Header().Set(TraceHeader, traceID)
@@ -43,7 +43,15 @@ func (s *Server) traced(next http.Handler) http.Handler {
 		root.Set("endpoint", endpoint).SetInt("status", int64(status))
 		root.EndWith(dur)
 
-		attrs := []any{
+		slow := s.traceSlow > 0 && dur >= s.traceSlow
+		level := slog.LevelInfo
+		if slow {
+			level = slog.LevelWarn
+		}
+		if !s.logger.Enabled(r.Context(), level) {
+			return
+		}
+		attrs := []slog.Attr{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.String("endpoint", endpoint),
@@ -51,22 +59,22 @@ func (s *Server) traced(next http.Handler) http.Handler {
 			slog.Duration("duration", dur),
 			slog.String("trace_id", traceID),
 		}
-		if s.traceSlow > 0 && dur >= s.traceSlow {
-			if td, ok := s.tracer.Get(traceID); ok {
-				// Clustered, a slow request may have spent its time on a
-				// peer: stitch the remote span sets in so the warning shows
-				// the whole tree (assembleTrace is a no-op standalone or
-				// when nothing was forwarded).
-				merged, missing := s.assembleTrace(r.Context(), td)
-				attrs = append(attrs, slog.String("spans", "\n"+merged.TreeString()))
-				if len(missing) > 0 {
-					attrs = append(attrs, slog.Any("missing_nodes", missing))
-				}
-			}
-			s.logger.Warn("slow request", attrs...)
+		if !slow {
+			s.logger.LogAttrs(r.Context(), level, "request", attrs...)
 			return
 		}
-		s.logger.Info("request", attrs...)
+		if td, ok := s.tracer.Get(traceID); ok {
+			// Clustered, a slow request may have spent its time on a
+			// peer: stitch the remote span sets in so the warning shows
+			// the whole tree (assembleTrace is a no-op standalone or
+			// when nothing was forwarded).
+			merged, missing := s.assembleTrace(r.Context(), td)
+			attrs = append(attrs, slog.String("spans", "\n"+merged.TreeString()))
+			if len(missing) > 0 {
+				attrs = append(attrs, slog.Any("missing_nodes", missing))
+			}
+		}
+		s.logger.LogAttrs(r.Context(), level, "slow request", attrs...)
 	})
 }
 
@@ -152,19 +160,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	resp := traceListResponse{Traces: []traceSummary{}, Held: s.tracer.Len(), Total: s.tracer.Total()}
-	for _, td := range s.tracer.List(min, limit) {
+	for _, ts := range s.tracer.List(min, limit) {
 		sum := traceSummary{
-			TraceID:    td.TraceID,
-			Name:       td.Name,
-			Start:      td.Start,
-			DurationUs: td.DurationUs,
-			Spans:      len(td.Spans),
-			NodeID:     td.NodeID,
+			TraceID:    ts.TraceID,
+			Name:       ts.Root.Name,
+			Start:      ts.Root.Start,
+			DurationUs: ts.Root.DurationUs,
+			Spans:      ts.Spans,
+			NodeID:     ts.Root.NodeID,
 		}
-		if root := td.Root(); root != nil {
-			if st, err := strconv.Atoi(root.Attrs["status"]); err == nil {
-				sum.Status = st
-			}
+		if st, err := strconv.Atoi(ts.Root.Attrs["status"]); err == nil {
+			sum.Status = st
 		}
 		resp.Traces = append(resp.Traces, sum)
 	}

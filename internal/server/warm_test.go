@@ -67,11 +67,20 @@ func warmServer(t testing.TB, pool [][]byte) *Server {
 
 // maxWarmOptimizeAllocs bounds the allocations of one warm
 // /v1/optimize call of handleOptimize, recorder and request included.
-// Every request below measures 33. Rendering the plan key through
-// fmt on every request, as the key was once built, put the same
-// requests at 112–235, and the engine's string-keyed selection memo,
-// since removed, at 52–53.
+// Every request below measures 33 (re-measured with spans recorded in
+// binary: handleOptimize alone runs untraced, so that did not move
+// it). Rendering the plan key through fmt on every request, as the key
+// was once built, put the same requests at 112–235, and the engine's
+// string-keyed selection memo, since removed, at 52–53.
 const maxWarmOptimizeAllocs = 36
+
+// maxWarmStackAllocs bounds the same requests through the whole
+// handler stack: the traced root and scenario spans, the metrics and
+// the latency exemplar on top of handleOptimize. Every request below
+// measures 45. With a map per span, SpanData/TraceData built on End, an
+// exemplar label map and the request-log attributes boxed whether or
+// not the logger was enabled, the stack measured 76.
+const maxWarmStackAllocs = 49
 
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool
@@ -79,8 +88,10 @@ var raceEnabled bool
 // TestOptimizeWarmAllocs gates the warm /v1/optimize path: with the
 // plan and every selection memoized, a request allocates for JSON
 // decoding and encoding, the engine hand-off and the Collectives
-// summary, and nothing for the plan key. Meaningless under -race
-// (sync.Pool drops puts), like every allocation gate.
+// summary, and nothing for the plan key; through the whole stack,
+// tracing adds the trace, the scenario span and their contexts, and
+// the Trace-Id header. Meaningless under -race (sync.Pool drops puts),
+// like every allocation gate.
 func TestOptimizeWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
@@ -93,7 +104,7 @@ func TestOptimizeWarmAllocs(t *testing.T) {
 	}
 	srv := New(Options{Workers: 1})
 	defer srv.Close()
-	h := http.HandlerFunc(srv.handleOptimize)
+	h, stack := http.HandlerFunc(srv.handleOptimize), srv.Handler()
 	for _, req := range reqs {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -106,6 +117,11 @@ func TestOptimizeWarmAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs", body, allocs)
 		if allocs > maxWarmOptimizeAllocs {
 			t.Errorf("%s: warm optimize allocates %.0f times, want ≤ %d", body, allocs, maxWarmOptimizeAllocs)
+		}
+		allocs = testing.AllocsPerRun(200, func() { serve(stack, "/v1/optimize", body) })
+		t.Logf("%s: %.0f allocs through the handler stack", body, allocs)
+		if allocs > maxWarmStackAllocs {
+			t.Errorf("%s: warm optimize through the stack allocates %.0f times, want ≤ %d", body, allocs, maxWarmStackAllocs)
 		}
 	}
 }

@@ -157,15 +157,54 @@ func Merge(local *TraceData, remotes ...*TraceData) *TraceData {
 	return merged
 }
 
+// data renders one recorded span as read: hex IDs, the attributes as
+// a map, and the recording node.
+func (s *Span) data(node string) SpanData {
+	sd := SpanData{
+		ID:         s.id.String(),
+		Name:       s.name,
+		Start:      s.start.UTC(),
+		DurationUs: float64(s.dur) / float64(time.Microsecond),
+		NodeID:     node,
+	}
+	if !s.parent.IsZero() {
+		sd.Parent = s.parent.String()
+	}
+	if len(s.attrs) > 0 {
+		sd.Attrs = make(map[string]string, len(s.attrs))
+		for _, a := range s.attrs {
+			sd.Attrs[a.key] = a.value()
+		}
+	}
+	return sd
+}
+
+// data renders a published trace as read.
+func (t *activeTrace) data() *TraceData {
+	td := &TraceData{
+		TraceID: t.id.String(),
+		Spans:   make([]SpanData, len(t.spans)),
+		Dropped: t.dropped,
+		NodeID:  t.node,
+	}
+	for i, s := range t.spans {
+		td.Spans[i] = s.data(t.node)
+	}
+	root := td.Root()
+	td.Name, td.Start, td.DurationUs = root.Name, root.Start, root.DurationUs
+	return td
+}
+
 // Recorder is a bounded in-memory ring of completed traces, newest
-// evicting oldest. It is safe for concurrent use; the zero value is
-// not usable — construct with NewRecorder.
+// evicting oldest. It holds each trace as recorded and renders it only
+// when read. It is safe for concurrent use; the zero value is not
+// usable — construct with NewRecorder.
 type Recorder struct {
 	mu    sync.Mutex
 	cap   int
 	node  string
-	byID  map[string]*TraceData
-	order []string // oldest first
+	byID  map[TraceID]*activeTrace
+	order []TraceID // oldest first
 	total uint64
 }
 
@@ -180,7 +219,7 @@ func NewRecorder(capTraces int) *Recorder {
 	if capTraces <= 0 {
 		capTraces = DefaultRecorderCap
 	}
-	return &Recorder{cap: capTraces, byID: make(map[string]*TraceData, capTraces)}
+	return &Recorder{cap: capTraces, byID: make(map[TraceID]*activeTrace, capTraces)}
 }
 
 // SetNode sets the cluster node ID stamped onto every subsequently
@@ -191,53 +230,63 @@ func (r *Recorder) SetNode(id string) {
 	r.mu.Unlock()
 }
 
-func (r *Recorder) add(td *TraceData) {
+func (r *Recorder) add(t *activeTrace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.node != "" {
-		td.NodeID = r.node
-		for i := range td.Spans {
-			if td.Spans[i].NodeID == "" {
-				td.Spans[i].NodeID = r.node
-			}
-		}
-	}
+	t.node = r.node
 	r.total++
-	if _, ok := r.byID[td.TraceID]; ok {
+	if _, ok := r.byID[t.id]; ok {
 		// Two roots published under one trace ID (a caller reusing a
 		// traceparent): keep the newest, keep the ring position.
-		r.byID[td.TraceID] = td
+		r.byID[t.id] = t
 		return
 	}
-	r.byID[td.TraceID] = td
-	r.order = append(r.order, td.TraceID)
+	r.byID[t.id] = t
+	r.order = append(r.order, t.id)
 	for len(r.order) > r.cap {
 		delete(r.byID, r.order[0])
 		r.order = append(r.order[:0], r.order[1:]...)
 	}
 }
 
-// Get returns the recorded trace with the given ID.
+// Get returns the recorded trace whose ID renders as id (32 lowercase
+// hex digits; any other string misses).
 func (r *Recorder) Get(id string) (*TraceData, bool) {
+	var tid TraceID
+	if len(id) != 2*len(tid) || !decodeHex(tid[:], id) {
+		return nil, false
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	td, ok := r.byID[id]
-	return td, ok
+	t, ok := r.byID[tid]
+	r.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return t.data(), true
+}
+
+// Summary is one entry of the recorder's listing: a trace's ID, its
+// root span and its span count, rendered without the other spans.
+type Summary struct {
+	TraceID string
+	Root    SpanData
+	Spans   int
 }
 
 // List returns recorded traces newest-first, keeping only those of at
 // least min duration, at most limit entries (limit <= 0: no bound).
-func (r *Recorder) List(min time.Duration, limit int) []*TraceData {
+func (r *Recorder) List(min time.Duration, limit int) []Summary {
 	minUs := float64(min) / float64(time.Microsecond)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*TraceData, 0, len(r.order))
+	out := make([]Summary, 0, len(r.order))
 	for i := len(r.order) - 1; i >= 0; i-- {
-		td := r.byID[r.order[i]]
-		if td.DurationUs < minUs {
+		t := r.byID[r.order[i]]
+		root := t.spans[len(t.spans)-1].data(t.node)
+		if root.DurationUs < minUs {
 			continue
 		}
-		out = append(out, td)
+		out = append(out, Summary{TraceID: t.id.String(), Root: root, Spans: len(t.spans)})
 		if limit > 0 && len(out) >= limit {
 			break
 		}

@@ -12,6 +12,14 @@
 // unconditionally — the nil *Span returned when the context carries
 // no trace is a valid no-op receiver, so untraced paths (CLI runs,
 // library use) pay a context lookup and nothing else.
+//
+// Recording is binary and rendering happens on read. A span keeps its
+// IDs as bytes and its attributes as unformatted (key, string | int64)
+// pairs in an inline slice; the first spans of a trace are carved from
+// the trace's own allocation, and the finished trace itself is what the
+// recorder holds. Hex IDs, attribute maps and SpanData/TraceData are
+// built only when a trace is read (/debug/traces, the slow-request
+// log, fleet stitching).
 package trace
 
 import (
@@ -35,12 +43,20 @@ type SpanID [8]byte
 // IsZero reports whether the ID is the invalid all-zero value.
 func (id TraceID) IsZero() bool { return id == TraceID{} }
 
-func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
+func (id TraceID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is the invalid all-zero value.
 func (id SpanID) IsZero() bool { return id == SpanID{} }
 
-func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
+func (id SpanID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // NewTraceID mints a random trace ID.
 func NewTraceID() TraceID {
@@ -72,6 +88,29 @@ func fillRandom(b []byte) {
 	b[0] |= 1 // never all-zero
 }
 
+// Attr is one span attribute: a key and a string or int64 value, kept
+// unformatted until the span is read.
+type Attr struct {
+	key   string
+	str   string
+	num   int64
+	isNum bool
+}
+
+// String returns a string-valued attribute.
+func String(key, value string) Attr { return Attr{key: key, str: value} }
+
+// Int returns an integer-valued attribute.
+func Int(key string, v int64) Attr { return Attr{key: key, num: v, isNum: true} }
+
+// value renders the attribute's value as a read span shows it.
+func (a Attr) value() string {
+	if a.isNum {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
+}
+
 // Span is one timed operation inside a trace. The nil *Span is a
 // valid no-op receiver for every method, so callers record spans
 // unconditionally and pay nothing when no trace is active.
@@ -81,32 +120,46 @@ type Span struct {
 	parent SpanID
 	name   string
 	start  time.Time
+	dur    time.Duration
 
-	mu    sync.Mutex
-	attrs map[string]string
-	ended bool
+	mu     sync.Mutex
+	ended  bool
+	attrs  []Attr
+	inline [3]Attr // attrs' first backing array
 }
 
 // Set attaches a string attribute, returning the span for chaining.
-func (s *Span) Set(key, value string) *Span {
+func (s *Span) Set(key, value string) *Span { return s.set(String(key, value)) }
+
+// SetInt attaches an integer attribute, returning the span for
+// chaining.
+func (s *Span) SetInt(key string, v int64) *Span { return s.set(Int(key, v)) }
+
+// set records a; a key already set is overwritten. Attributes set
+// after End are dropped.
+func (s *Span) set(a Attr) *Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	if !s.ended {
-		if s.attrs == nil {
-			s.attrs = make(map[string]string, 4)
-		}
-		s.attrs[key] = value
+		s.put(a)
 	}
 	s.mu.Unlock()
 	return s
 }
 
-// SetInt attaches an integer attribute, returning the span for
-// chaining.
-func (s *Span) SetInt(key string, v int64) *Span {
-	return s.Set(key, strconv.FormatInt(v, 10))
+func (s *Span) put(a Attr) {
+	for i := range s.attrs {
+		if s.attrs[i].key == a.key {
+			s.attrs[i] = a
+			return
+		}
+	}
+	if s.attrs == nil {
+		s.attrs = s.inline[:0]
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // TraceID returns the owning trace's ID (zero for the nil span).
@@ -153,23 +206,31 @@ func (s *Span) finish(d time.Duration) {
 		return
 	}
 	s.ended = true
-	attrs := s.attrs
+	s.dur = d
 	s.mu.Unlock()
-	s.tr.record(s, d, attrs)
+	s.tr.record(s)
 }
 
-// activeTrace accumulates the completed spans of one in-flight trace
-// and publishes them to the recorder when the root span ends. Spans
-// ending after the root (a bug in the instrumented code) are dropped.
+// activeTrace accumulates the completed spans of one in-flight trace.
+// When the root span ends, the trace itself is published to the
+// recorder and never written again. Spans ending after the root (a bug
+// in the instrumented code) are dropped.
 type activeTrace struct {
 	id   TraceID
-	root SpanID
 	rec  *Recorder
+	node string // the recorder's node ID, stamped on publish
+
+	carved atomic.Int32 // spans handed out from inline
 
 	mu      sync.Mutex
-	spans   []SpanData
+	spans   []*Span // completed spans, in completion order (root last)
 	dropped int
 	done    bool
+
+	// The first spans of the trace live here, so a short trace is one
+	// allocation; inline[0] is the root.
+	inline  [2]Span
+	spanBuf [4]*Span // spans' first backing array
 }
 
 // maxSpansPerTrace bounds one trace's recorded spans: a large batch
@@ -178,44 +239,38 @@ type activeTrace struct {
 // counted in TraceData.Dropped instead of stored.
 const maxSpansPerTrace = 4096
 
-func (t *activeTrace) record(s *Span, d time.Duration, attrs map[string]string) {
+// newSpan starts a span of t.
+func (t *activeTrace) newSpan(parent SpanID, name string, start time.Time) *Span {
+	var s *Span
+	if i := int(t.carved.Add(1)) - 1; i < len(t.inline) {
+		s = &t.inline[i]
+	} else {
+		s = new(Span)
+	}
+	s.tr, s.id, s.parent, s.name, s.start = t, NewSpanID(), parent, name, start
+	return s
+}
+
+func (t *activeTrace) record(s *Span) {
+	root := s == &t.inline[0]
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
 		return
 	}
-	if s.id != t.root && len(t.spans) >= maxSpansPerTrace {
+	if !root && len(t.spans) >= maxSpansPerTrace {
 		t.dropped++
 		t.mu.Unlock()
 		return
 	}
-	sd := SpanData{
-		ID:         s.id.String(),
-		Name:       s.name,
-		Start:      s.start.UTC(),
-		DurationUs: float64(d) / float64(time.Microsecond),
-		Attrs:      attrs,
+	if t.spans == nil {
+		t.spans = t.spanBuf[:0]
 	}
-	if !s.parent.IsZero() {
-		sd.Parent = s.parent.String()
-	}
-	t.spans = append(t.spans, sd)
-	if s.id != t.root {
-		t.mu.Unlock()
-		return
-	}
-	t.done = true
-	td := &TraceData{
-		TraceID:    t.id.String(),
-		Name:       s.name,
-		Start:      sd.Start,
-		DurationUs: sd.DurationUs,
-		Spans:      t.spans,
-		Dropped:    t.dropped,
-	}
+	t.spans = append(t.spans, s)
+	t.done = root
 	t.mu.Unlock()
-	if t.rec != nil {
-		t.rec.add(td)
+	if root && t.rec != nil {
+		t.rec.add(t)
 	}
 }
 
@@ -246,8 +301,7 @@ func StartRoot(ctx context.Context, rec *Recorder, name, traceparent string) (co
 		parent = SpanID{}
 	}
 	tr := &activeTrace{id: tid, rec: rec}
-	s := &Span{tr: tr, id: NewSpanID(), parent: parent, name: name, start: time.Now()}
-	tr.root = s.id
+	s := tr.newSpan(parent, name, time.Now())
 	return ContextWithSpan(ctx, s), s
 }
 
@@ -259,20 +313,22 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	s := &Span{tr: parent.tr, id: NewSpanID(), parent: parent.id, name: name, start: time.Now()}
+	s := parent.tr.newSpan(parent.id, name, time.Now())
 	return ContextWithSpan(ctx, s), s
 }
 
 // AddSpan records an already-measured child of ctx's active span —
 // for phases whose time was accumulated across many non-contiguous
 // intervals. No-op without an active span.
-func AddSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs map[string]string) {
+func AddSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...Attr) {
 	parent := FromContext(ctx)
 	if parent == nil {
 		return
 	}
-	s := &Span{tr: parent.tr, id: NewSpanID(), parent: parent.id, name: name, start: start}
-	s.attrs = attrs
+	s := parent.tr.newSpan(parent.id, name, start)
+	for _, a := range attrs {
+		s.put(a)
+	}
 	s.finish(d)
 }
 

@@ -126,7 +126,7 @@ func TestNilSpanNoOps(t *testing.T) {
 	if !sp.TraceID().IsZero() || sp.Traceparent() != "" {
 		t.Fatal("nil span leaked an identity")
 	}
-	AddSpan(ctx, "x", time.Now(), time.Second, nil)
+	AddSpan(ctx, "x", time.Now(), time.Second, Int("n", 1))
 }
 
 // TestSpanTree: children nest under parents; sibling order is
@@ -137,7 +137,7 @@ func TestSpanTree(t *testing.T) {
 	sctx, scenario := StartSpan(ctx, "scenario")
 	_, align := StartSpan(sctx, "alignment")
 	align.End()
-	AddSpan(sctx, "kernel", time.Now(), 123*time.Microsecond, map[string]string{"ops": "7"})
+	AddSpan(sctx, "kernel", time.Now(), 123*time.Microsecond, Int("ops", 7))
 	scenario.End()
 	root.End()
 
@@ -191,9 +191,10 @@ func TestRecorderEviction(t *testing.T) {
 	if len(all) != capTraces {
 		t.Fatalf("List returned %d, want %d", len(all), capTraces)
 	}
-	for _, td := range all {
-		if got, ok := rec.Get(td.TraceID); !ok || got != td {
-			t.Fatalf("listed trace %s not retrievable", td.TraceID)
+	for _, sum := range all {
+		got, ok := rec.Get(sum.TraceID)
+		if !ok || got.TraceID != sum.TraceID || got.Name != sum.Root.Name || len(got.Spans) != sum.Spans {
+			t.Fatalf("listed trace %s not retrievable", sum.TraceID)
 		}
 	}
 	if got := rec.List(0, 3); len(got) != 3 {

@@ -9,35 +9,28 @@ import "encoding/hex"
 //	|  trace-id (32 hex)                parent-id (16)   flags (2)
 //	version
 //
-// Only the version-00 fixed layout is accepted; the all-zero trace or
-// span ID is invalid per the spec, as is version "ff".
+// Only the version-00 fixed layout is accepted, in lowercase hex as the
+// spec requires; the all-zero trace or span ID is invalid per the spec,
+// as is version "ff".
 
 const traceparentLen = 2 + 1 + 32 + 1 + 16 + 1 + 2
 
+// Header is the traceparent header's canonical key: net/http looks it
+// up and sets it without re-canonicalizing (an allocation).
+const Header = "Traceparent"
+
 // ParseTraceparent parses a W3C traceparent header. ok is false for
-// malformed input: wrong layout, non-hex fields, version ff, or an
-// all-zero trace/span ID — callers then mint a fresh trace instead.
+// malformed input: wrong layout, fields that are not lowercase hex,
+// version ff, or an all-zero trace/span ID — callers then mint a fresh
+// trace instead.
 func ParseTraceparent(h string) (TraceID, SpanID, bool) {
 	var tid TraceID
 	var sid SpanID
-	if len(h) != traceparentLen || h[2] != '-' || h[35] != '-' || h[52] != '-' {
-		return tid, sid, false
-	}
-	var ver [1]byte
-	if _, err := hex.Decode(ver[:], []byte(h[0:2])); err != nil || ver[0] == 0xff {
-		return tid, sid, false
-	}
-	if _, err := hex.Decode(tid[:], []byte(h[3:35])); err != nil {
-		return TraceID{}, sid, false
-	}
-	if _, err := hex.Decode(sid[:], []byte(h[36:52])); err != nil {
-		return TraceID{}, SpanID{}, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(h[53:55])); err != nil {
-		return TraceID{}, SpanID{}, false
-	}
-	if tid.IsZero() || sid.IsZero() {
+	var ver, flags [1]byte
+	if len(h) != traceparentLen || h[2] != '-' || h[35] != '-' || h[52] != '-' ||
+		!decodeHex(ver[:], h[0:2]) || ver[0] == 0xff || !decodeHex(flags[:], h[53:55]) ||
+		!decodeHex(tid[:], h[3:35]) || !decodeHex(sid[:], h[36:52]) ||
+		tid.IsZero() || sid.IsZero() {
 		return TraceID{}, SpanID{}, false
 	}
 	return tid, sid, true
@@ -46,5 +39,34 @@ func ParseTraceparent(h string) (TraceID, SpanID, bool) {
 // FormatTraceparent renders a version-00 traceparent header with the
 // sampled flag set.
 func FormatTraceparent(t TraceID, s SpanID) string {
-	return "00-" + t.String() + "-" + s.String() + "-01"
+	var b [traceparentLen]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], t[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], s[:])
+	copy(b[52:], "-01")
+	return string(b[:])
+}
+
+// decodeHex decodes src, 2*len(dst) lowercase hex digits, into dst.
+func decodeHex(dst []byte, src string) bool {
+	for i := range dst {
+		hi, ok1 := fromHex(src[2*i])
+		lo, ok2 := fromHex(src[2*i+1])
+		if !ok1 || !ok2 {
+			return false
+		}
+		dst[i] = hi<<4 | lo
+	}
+	return true
+}
+
+func fromHex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	}
+	return 0, false
 }
